@@ -3,22 +3,14 @@
  * Multi-chip strong scaling: the Table I datasets sharded across 1, 2,
  * 4 and 8 chips joined by inter-chip links (src/scaleout/).
  *
- * Two execution paths share every table so CI can diff them:
- *
- *   path=sharded (default)  scaleout::runInference -- the sharded
- *                           co-simulation, any chips= value. chips=1
- *                           runs the identity shard and must reproduce
- *                           the single-chip path byte-for-byte.
- *   path=single             the classic gcn::runInference (chips= must
- *                           be 1). The CI scale-out gate runs both
- *                           paths at chips=1 and requires bytewise
- *                           identical table and JSON output.
+ * Every chip count runs through scaleout::runInference; chips=1 is
+ * the identity shard, which tests/scaleout checks against the
+ * single-chip runner.
  *
  * Extra keys on top of the universal set (chips=, link_gbps=,
  * link_ns= included there):
  *   engine=grow            engine configuration key (must consume the
  *                          partitioning for chips > 1)
- *   path=sharded|single    see above
  *   cluster_nodes=256      target nodes per partition cluster. The
  *                          default sizing derives clusters from the
  *                          HDN cache and leaves the small Table I
@@ -32,7 +24,6 @@
  */
 #include "common.hpp"
 
-#include "driver/engine_factory.hpp"
 #include "scaleout/runner.hpp"
 
 using namespace grow;
@@ -41,25 +32,13 @@ using namespace grow::bench;
 GROW_BENCH_MAIN("scaleout")
 {
     BenchContext ctx(argc, argv, "mini", "all",
-                     {"engine", "path", "cluster_nodes"});
+                     {"engine", "cluster_nodes"});
     const std::string engineKey = ctx.args().get("engine", "grow");
-    const std::string path = ctx.args().get("path", "sharded");
-    if (path != "sharded" && path != "single")
-        fatal("path must be sharded or single, got '" + path + "'");
     const int64_t clusterNodes =
         ctx.args().getInt("cluster_nodes", 256);
     if (clusterNodes < 1)
         fatal("cluster_nodes must be >= 1, got " +
               std::to_string(clusterNodes));
-    if (path == "single") {
-        for (uint32_t chips : ctx.chipCounts())
-            if (chips != 1)
-                fatal("path=single is the classic single-chip runner; "
-                      "it cannot honour chips=" + std::to_string(chips));
-    }
-
-    // The banner deliberately omits `path`: the CI scale-out gate
-    // diffs both paths' chips=1 output byte-for-byte.
     ctx.banner("Multi-chip strong scaling (" + engineKey + ")");
 
     auto t = ctx.table("scaleout_scaling", "Strong scaling");
@@ -94,32 +73,16 @@ GROW_BENCH_MAIN("scaleout")
 
         Cycle baseCycles = 0;
         for (uint32_t chips : ctx.chipCounts()) {
-            gcn::InferenceResult merged;
-            Cycle haloCycles = 0;
-            Bytes haloBytes = 0;
-            uint64_t cutArcs = 0;
-            if (path == "single") {
-                auto engSpec = driver::engineByKey(engineKey);
-                gcn::RunOptions opts = ctx.runOptions();
-                opts.usePartitioning = engSpec.usePartitioning;
-                auto engine = engSpec.make();
-                merged = gcn::runInference(*engine, w, opts);
-            } else {
-                const auto topo = ctx.topology(engineKey, chips);
-                auto sr =
-                    scaleout::runInference(topo, w, ctx.runOptions());
-                haloCycles = sr.haloCycles;
-                haloBytes = sr.haloBytes;
-                cutArcs = sr.shard.cutArcs;
-                for (uint32_t link = 0; link < chips; ++link) {
-                    if (chips == 1)
-                        break; // no links on a single-chip topology
-                    linkRows.push_back({spec.name, chips, link,
-                                        sr.links.egressBytes[link],
-                                        sr.links.egressBusyCycles[link]});
-                }
-                merged = std::move(sr.merged);
+            const auto topo = ctx.topology(engineKey, chips);
+            auto sr = scaleout::runInference(topo, w, ctx.runOptions());
+            for (uint32_t link = 0; link < chips; ++link) {
+                if (chips == 1)
+                    break; // no links on a single-chip topology
+                linkRows.push_back({spec.name, chips, link,
+                                    sr.links.egressBytes[link],
+                                    sr.links.egressBusyCycles[link]});
             }
+            const gcn::InferenceResult &merged = sr.merged;
             if (baseCycles == 0)
                 baseCycles = merged.totalCycles;
             const double speedup =
@@ -136,10 +99,10 @@ GROW_BENCH_MAIN("scaleout")
                 .add(report::count(chips))
                 .add(report::count(merged.totalCycles, "cycles"))
                 .add(report::real(speedup, 3, "x"))
-                .add(report::count(haloCycles, "cycles"))
+                .add(report::count(sr.haloCycles, "cycles"))
                 .add(report::bytesValue(merged.totalTrafficBytes()))
-                .add(report::count(haloBytes, "link-bytes"))
-                .add(report::count(cutArcs, "arcs"));
+                .add(report::count(sr.haloBytes, "link-bytes"))
+                .add(report::count(sr.shard.cutArcs, "arcs"));
             ctx.recordInference(spec.name + "@" + label, engineKey,
                                 merged);
         }

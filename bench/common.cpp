@@ -185,9 +185,9 @@ BenchContext::emitSimSpeed()
                     attn += pm.hostMillis;
                     break;
                   case gcn::PhaseOp::HaloExchange:
-                    // Halo phases never reach the single-chip results
-                    // cached here (bench_scaleout reports link time in
-                    // its own tables).
+                    // Halo phases of bench_scaleout's merged results
+                    // carry no per-phase host time; their link
+                    // co-simulation counts in the run's wall ms.
                     break;
                 }
             }

@@ -169,9 +169,6 @@ class BenchContext
      *  comes from makeEngineJob). */
     gcn::RunOptions runOptions() const;
 
-    /** Deprecated pre-scale-out spelling of runOptions(). */
-    gcn::RunOptions runnerOptions() const { return runOptions(); }
-
     /** Every `chips=` value, supplied order (default {1}). */
     const std::vector<uint32_t> &chipCounts() const { return chipCounts_; }
 

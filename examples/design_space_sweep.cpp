@@ -38,7 +38,6 @@
  *                           [chips=1] [link_gbps=64] [link_ns=500]
  *                           [cachedir=] [model=gcn|sage-mean|sage-pool|
  *                           gin|gat] [format=table|json|csv] [out=path]
- *                           (dataset= is a deprecated alias)
  */
 #include <algorithm>
 #include <cmath>
@@ -96,9 +95,6 @@ int
 main(int argc, char **argv)
 {
     CliArgs args(argc, argv);
-    // `dataset=` predates the bench-wide `datasets=` grammar; keep it
-    // working as a deprecated alias.
-    args.applyAliases({{"dataset", "datasets"}});
     args.requireKnown({"datasets", "scale", "threads", "cachedir", "model",
                        "format", "out", "epoch", "dse", "pareto", "est",
                        "chips", "link_gbps", "link_ns"});
@@ -490,12 +486,8 @@ main(int argc, char **argv)
                 const auto shard =
                     scaleout::buildShardPlan(adj, clustering, chips);
                 const auto haloPlan = scaleout::buildHaloPlan(adj, shard);
-                gcn::RunOptions shardOpt;
-                shardOpt.usePartitioning = true;
-                shardOpt.chips = chips;
-                const auto plan = gcn::buildPhasePlan(w, shardOpt);
                 const auto linkEst = costmodel::estimateLinkTraffic(
-                    plan, shard, haloPlan, link);
+                    basePlan, shard, haloPlan, link);
                 // First-order strong scaling: per-chip compute is the
                 // single-chip estimate over the chip count (balanced
                 // shards), plus the serialised halo steps.

@@ -53,7 +53,7 @@ struct SimOptions
      * co-simulation inside GrowSim. 0 (default) keeps the exact
      * serial engine interleaving -- byte-identical to the historical
      * tables; > 0 resolves cross-lane DRAM contention at epoch
-     * boundaries (accel::EpochDramArbiter), which changes cycle
+     * boundaries (accel::EpochArbiter), which changes cycle
      * results slightly but deterministically: for a fixed window the
      * outcome is bit-identical regardless of `threads`.
      */

@@ -42,9 +42,8 @@
  * arbiter entirely and keeps the exact serial interleaving. See
  * DESIGN.md "Parallel co-simulation & DRAM arbitration".
  *
- * EpochDramArbiter below is the original single-resource (one DRAM
- * channel) specialisation -- its protocol, canonical order and results
- * are bit-identical to the pre-generalisation implementation.
+ * core::GrowSim's epoch mode arbitrates a single resource (its one
+ * DRAM channel, resourceId 0) across per-PE lanes.
  */
 #pragma once
 
@@ -171,23 +170,6 @@ class EpochArbiter
     std::vector<std::unique_ptr<LaneDramPort>> ports_;
     uint64_t epoch_ = 0;
     uint64_t committed_ = 0;
-};
-
-/**
- * The single-resource specialisation: one DRAM channel shared by
- * per-PE lanes (core::GrowSim's epoch mode). Canonical order and
- * results are bit-identical to the original dedicated implementation
- * (the resourceId key is constant 0).
- */
-class EpochDramArbiter : public EpochArbiter
-{
-  public:
-    EpochDramArbiter(mem::DramModel &canonical, uint32_t num_lanes)
-        : EpochArbiter({&canonical}, num_lanes)
-    {
-    }
-
-    LaneDramPort &lane(uint32_t i) { return port(0, i); }
 };
 
 } // namespace grow::accel

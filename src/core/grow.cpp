@@ -24,7 +24,7 @@ namespace {
  */
 void
 runEpochRounds(std::vector<std::unique_ptr<RowEngine>> &engines,
-               accel::EpochDramArbiter &arbiter,
+               accel::EpochArbiter &arbiter,
                const mem::DramModel &channel,
                const accel::SimOptions &options)
 {
@@ -225,10 +225,10 @@ GrowSim::run(const accel::SpDeGemmProblem &problem,
     // deterministically. epochCycles == 0 (default) keeps the exact
     // serial interleaving below.
     const bool epochMode = options.epochCycles > 0 || options.epochAuto;
-    std::unique_ptr<accel::EpochDramArbiter> arbiter;
+    std::unique_ptr<accel::EpochArbiter> arbiter;
     if (epochMode) {
-        arbiter = std::make_unique<accel::EpochDramArbiter>(
-            *dram, config_.numPes);
+        arbiter = std::make_unique<accel::EpochArbiter>(
+            std::vector<mem::DramModel *>{dram.get()}, config_.numPes);
     }
 
     // Interleave clusters across PEs.
@@ -263,7 +263,7 @@ GrowSim::run(const accel::SpDeGemmProblem &problem,
         mem::DramModel *channel = dram.get();
         RowEngineProblem pep = ep;
         if (epochMode) {
-            accel::LaneDramPort *port = &arbiter->lane(pe);
+            accel::LaneDramPort *port = &arbiter->port(0, pe);
             pep.onClusterStart = [port](uint32_t c) {
                 port->setCluster(c);
             };

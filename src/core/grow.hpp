@@ -15,7 +15,7 @@
  * runs bulk-synchronous epochs in which the engine lanes execute
  * concurrently against private DRAM replicas and their requests are
  * replayed through the shared device in canonical (epoch, clusterId,
- * requestSeq) order (accel::EpochDramArbiter). Either way the result
+ * requestSeq) order (accel::EpochArbiter). Either way the result
  * is bit-identical for every SimOptions::threads value; see DESIGN.md
  * "Parallel co-simulation & DRAM arbitration".
  */

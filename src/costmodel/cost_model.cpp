@@ -327,10 +327,6 @@ AnalyticalCostModel::AnalyticalCostModel(const gcn::PhasePlan &plan)
     : plan_(&plan)
 {
     for (const auto &ph : plan) {
-        // Halo-exchange markers move bytes over links, not SpDeGEMM
-        // work; costmodel::estimateLinkTraffic prices them.
-        if (ph.op == gcn::PhaseOp::HaloExchange)
-            continue;
         GROW_ASSERT(ph.problem.lhs != nullptr,
                     "phase plan entry without LHS");
         bool known = false;
@@ -368,8 +364,6 @@ AnalyticalCostModel::estimate(const mapping::EngineMapping &em) const
     PlanEstimate pe;
     pe.phases.reserve(plan_->size());
     for (const auto &ph : *plan_) {
-        if (ph.op == gcn::PhaseOp::HaloExchange)
-            continue;
         const MappingSpec &spec = em.spec(ph.mapping.phaseClass);
         PhaseEstimate e =
             estimatePhase(spec, em, statsFor(ph), ph.problem.rhsCols);
@@ -380,22 +374,17 @@ AnalyticalCostModel::estimate(const mapping::EngineMapping &em) const
         pe.totalCycles += e.cycles;
         pe.trafficBytes += e.trafficBytes;
         pe.macOps += e.macOps;
-        switch (ph.op) {
-          case gcn::PhaseOp::Combination:
+        if (ph.op == gcn::PhaseOp::Combination) {
             pe.combinationCycles += e.cycles;
-            break;
-          case gcn::PhaseOp::Aggregation:
-            pe.aggregationCycles += e.cycles;
+        } else {
+            // Adjacency-streaming steps: aggregation or attention
+            // score (a phase plan holds no other op).
+            if (ph.op == gcn::PhaseOp::AttentionScore)
+                pe.attentionCycles += e.cycles;
+            else
+                pe.aggregationCycles += e.cycles;
             pe.cacheHits += e.cacheHits;
             pe.cacheMisses += e.cacheMisses;
-            break;
-          case gcn::PhaseOp::AttentionScore:
-            pe.attentionCycles += e.cycles;
-            pe.cacheHits += e.cacheHits;
-            pe.cacheMisses += e.cacheMisses;
-            break;
-          case gcn::PhaseOp::HaloExchange:
-            break; // skipped above
         }
         pe.phases.push_back(std::move(e));
     }

@@ -23,12 +23,10 @@ estimateLinkTraffic(const gcn::PhasePlan &plan,
     const double bpc = link.bytesPerCycle();
     GROW_ASSERT(bpc > 0, "link bandwidth must be positive");
 
-    for (const auto &ph : plan) {
-        if (ph.op != gcn::PhaseOp::HaloExchange)
-            continue;
+    for (size_t point : scaleout::haloPoints(plan, chips)) {
         LinkPhaseEstimate pe;
-        pe.layer = ph.layer;
-        const uint32_t cols = ph.problem.rhsCols;
+        pe.layer = plan[point].layer;
+        const uint32_t cols = plan[point].problem.rhsCols;
         // The busiest serial agent bounds the step: each source chip's
         // egress link serialises everything it sends, and each
         // destination chip pulls its ingress serially (the co-sim's

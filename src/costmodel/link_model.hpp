@@ -2,8 +2,8 @@
  * @file
  * Closed-form inter-chip link traffic estimate.
  *
- * Prices the HaloExchange steps of a multi-chip phase plan without
- * running the link co-simulation, so design-space sweeps (dse=1) can
+ * Prices the halo exchanges of a sharded inference without running
+ * the link co-simulation, so design-space sweeps (dse=1) can
  * score chip counts analytically. Byte counts are *exact* by
  * construction -- the estimator and the scale-out runner both read the
  * same HaloPlan (boundary vertices x feature bytes), so the estimate
@@ -51,9 +51,10 @@ struct LinkEstimate
 };
 
 /**
- * Price every HaloExchange step of @p plan under @p link for the
- * sharding described by (@p shard, @p halo). Plans without halo steps
- * (chips == 1) yield an all-zero estimate.
+ * Price the halo exchanges of the single-chip @p plan sharded as
+ * (@p shard, @p halo) under @p link -- the same exchanges, at the same
+ * positions (scaleout::haloPoints), the scale-out runner simulates.
+ * chips == 1 has none and yields an all-zero estimate.
  */
 LinkEstimate estimateLinkTraffic(const gcn::PhasePlan &plan,
                                  const scaleout::ChipShardPlan &shard,

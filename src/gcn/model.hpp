@@ -66,9 +66,9 @@ enum class PhaseOp {
      * Multi-chip boundary-feature exchange (src/scaleout/): before a
      * layer's adjacency-streaming steps can run, every chip pulls the
      * combination outputs of its remote boundary vertices across the
-     * inter-chip links. Only plans lowered with RunOptions::chips > 1
-     * carry this op; the single-chip executor rejects it (the scale-out
-     * runner co-simulates it against the link models).
+     * inter-chip links. Phase plans never carry this op: only the
+     * scale-out runner's merged results do (scaleout::haloPoints places
+     * it, the link co-simulation prices it).
      */
     HaloExchange
 };

@@ -12,16 +12,6 @@ namespace grow::gcn {
 
 namespace {
 
-/** Element-wise accumulate classified traffic. */
-void
-mergeTraffic(mem::DramTraffic &into, const mem::DramTraffic &from)
-{
-    for (size_t i = 0; i < mem::kNumTrafficClasses; ++i) {
-        into.readBytes[i] += from.readBytes[i];
-        into.writeBytes[i] += from.writeBytes[i];
-    }
-}
-
 /** "gat attention-score layer 2": phase identity for diagnostics. */
 std::string
 describePhase(const PlannedPhase &step)
@@ -44,7 +34,7 @@ checkFunctional(const accel::PhaseResult &result,
                     fmtSci(diff) + ")");
 }
 
-/** Fold one executed phase into the inference aggregate. */
+/** Archive one executed phase of @p step: energy, then the fold. */
 void
 accumulatePhase(InferenceResult &res, const PlannedPhase &step,
                 accel::PhaseResult &&r, const energy::EnergyParams &params,
@@ -63,36 +53,43 @@ accumulatePhase(InferenceResult &res, const PlannedPhase &step,
                                                        step.op);
     if (auxFraction > 0.0)
         pm.energy.auxPj = energy::auxiliaryUnitPj(pm.energy, auxFraction);
-    res.totalCycles += r.cycles;
-    res.macOps += r.macOps;
-    mergeTraffic(res.traffic, r.traffic);
-    res.energy += pm.energy;
-    switch (step.op) {
-      case PhaseOp::Combination:
-        res.combinationCycles += r.cycles;
-        break;
-      case PhaseOp::Aggregation:
-        res.aggregationCycles += r.cycles;
-        res.cacheHits += r.cacheHits;
-        res.cacheMisses += r.cacheMisses;
-        break;
-      case PhaseOp::AttentionScore:
-        res.attentionCycles += r.cycles;
-        res.cacheHits += r.cacheHits;
-        res.cacheMisses += r.cacheMisses;
-        break;
-      case PhaseOp::HaloExchange:
-        res.haloCycles += r.cycles;
-        break;
-    }
     // Drop bulky functional outputs before archiving.
     r.output = sparse::DenseMatrix();
     r.hasOutput = false;
     pm.result = std::move(r);
-    res.phases.push_back(std::move(pm));
+    res.addPhase(std::move(pm));
 }
 
 } // namespace
+
+void
+InferenceResult::addPhase(PhaseMetrics &&phase)
+{
+    const accel::PhaseResult &r = phase.result;
+    totalCycles += r.cycles;
+    macOps += r.macOps;
+    traffic += r.traffic;
+    energy += phase.energy;
+    switch (phase.op) {
+      case PhaseOp::Combination:
+        combinationCycles += r.cycles;
+        break;
+      case PhaseOp::Aggregation:
+        aggregationCycles += r.cycles;
+        cacheHits += r.cacheHits;
+        cacheMisses += r.cacheMisses;
+        break;
+      case PhaseOp::AttentionScore:
+        attentionCycles += r.cycles;
+        cacheHits += r.cacheHits;
+        cacheMisses += r.cacheMisses;
+        break;
+      case PhaseOp::HaloExchange:
+        haloCycles += r.cycles;
+        break;
+    }
+    phases.push_back(std::move(phase));
+}
 
 double
 InferenceResult::cacheHitRate() const
@@ -107,13 +104,6 @@ PhasePlan
 buildPhasePlan(const GcnWorkload &workload, const RunOptions &options)
 {
     const bool part = options.usePartitioning;
-    const bool sharded = options.chips > 1;
-    GROW_ASSERT(options.chips >= 1, "chips must be >= 1");
-    GROW_ASSERT(!sharded || part,
-                "multi-chip lowering requires partitioning artefacts "
-                "(the shard plan is built from the cluster structure)");
-    GROW_ASSERT(!sharded || !options.sim.functional,
-                "multi-chip lowering has no functional mode");
     GROW_ASSERT(!part || workload.hasPartitioning(),
                 "workload lacks partitioning artefacts");
     const bool functional = options.sim.functional;
@@ -139,8 +129,7 @@ buildPhasePlan(const GcnWorkload &workload, const RunOptions &options)
                     : workload.adjacency());
 
     PhasePlan plan;
-    plan.reserve(static_cast<size_t>(modelPhasesPerLayer(model) +
-                                     (sharded ? 1 : 0)) *
+    plan.reserve(static_cast<size_t>(modelPhasesPerLayer(model)) *
                  workload.numLayers());
 
     // The dataflow mapping the plan is lowered against. Everything
@@ -201,25 +190,6 @@ buildPhasePlan(const GcnWorkload &workload, const RunOptions &options)
         plan.push_back(std::move(ph));
     };
 
-    // ---- Halo exchange (multi-chip lowering only): before a layer's
-    // adjacency-streaming steps, every chip pulls the combination
-    // outputs of its remote boundary vertices across the inter-chip
-    // links. The marker carries the adjacency (boundary structure) and
-    // the layer's feature width; only scaleout::runInference can
-    // execute it -- executePlan rejects plans that contain one. --------
-    auto pushHalo = [&](uint32_t layer) {
-        if (!sharded)
-            return;
-        PlannedPhase ph;
-        ph.layer = layer;
-        ph.model = model;
-        ph.op = PhaseOp::HaloExchange;
-        ph.problem.lhs = &A;
-        ph.problem.rhsCols = workload.layer(layer).outDim;
-        ph.problem.label = describePhase(ph);
-        plan.push_back(std::move(ph));
-    };
-
     for (uint32_t layer = 0; layer < workload.numLayers(); ++layer) {
         const sparse::CsrMatrix &x =
             part ? workload.xPartitioned(layer) : workload.x(layer);
@@ -233,7 +203,6 @@ buildPhasePlan(const GcnWorkload &workload, const RunOptions &options)
             // X*W then A*(XW) -- the Sec. II-B order; SAGEConv only
             // swaps A for the sampled operand (Sec. VIII).
             pushCombination(layer, x, wts);
-            pushHalo(layer);
             pushAdjacencyStep(layer, PhaseOp::Aggregation);
             break;
           case ModelKind::Gat:
@@ -242,7 +211,6 @@ buildPhasePlan(const GcnWorkload &workload, const RunOptions &options)
             // table-based softmax folded into the score phase
             // (Sec. VIII); the weighted aggregation follows.
             pushCombination(layer, x, wts);
-            pushHalo(layer);
             pushAdjacencyStep(layer, PhaseOp::AttentionScore);
             pushAdjacencyStep(layer, PhaseOp::Aggregation);
             break;
@@ -253,7 +221,6 @@ buildPhasePlan(const GcnWorkload &workload, const RunOptions &options)
             // combination over the synthetic stand-in for the
             // aggregated output.
             pushCombination(layer, x, wts);
-            pushHalo(layer);
             pushAdjacencyStep(layer, PhaseOp::Aggregation);
             pushCombination(layer,
                             part ? workload.xMlpPartitioned(layer)
@@ -272,12 +239,6 @@ executePlan(accel::AcceleratorSim &engine, const PhasePlan &plan,
             const RunOptions &options)
 {
     const bool functional = options.sim.functional;
-    for (const PlannedPhase &step : plan) {
-        GROW_ASSERT(step.op != PhaseOp::HaloExchange,
-                    "plan contains a halo-exchange step; only the "
-                    "scale-out runner (scaleout::runInference) can "
-                    "execute multi-chip plans");
-    }
     util::WallClock runClock;
 
     InferenceResult res;
@@ -350,8 +311,7 @@ executePlan(accel::AcceleratorSim &engine, const PhasePlan &plan,
         if (functional) {
             checkFunctional(phaseRes, *problem.lhs, *problem.rhs,
                             describePhase(step));
-            switch (step.op) {
-              case PhaseOp::Combination: {
+            if (step.op == PhaseOp::Combination) {
                 const PlannedPhase *next =
                     i + 1 < plan.size() ? &plan[i + 1] : nullptr;
                 const bool feedsNext =
@@ -366,18 +326,11 @@ executePlan(accel::AcceleratorSim &engine, const PhasePlan &plan,
                 // is the layer's terminal result: verified, then
                 // dropped -- the next layer starts from its own
                 // synthetic features (DESIGN.md substitutions).
-                break;
-              }
-              case PhaseOp::AttentionScore:
-                // Scores are consumed on-chip by the softmax unit; the
-                // combination output still feeds the aggregation.
-                break;
-              case PhaseOp::Aggregation:
+            } else if (step.op == PhaseOp::Aggregation) {
                 hasPending = false;
-                break;
-              case PhaseOp::HaloExchange:
-                panic("halo-exchange step in single-chip executor");
             }
+            // Attention scores are consumed on-chip by the softmax
+            // unit; the combination output still feeds the aggregation.
         }
         accumulatePhase(res, step, std::move(phaseRes), options.energy,
                         phaseMs);

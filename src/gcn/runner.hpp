@@ -11,7 +11,12 @@
  * AcceleratorSim, threading functional combination outputs into the
  * downstream steps that consume them, and aggregates cycles,
  * classified DRAM traffic, cache statistics and Fig. 22-style energy.
- * See DESIGN.md for the layer-plan abstraction and model lowering.
+ * InferenceResult::addPhase is the one fold of a phase into those
+ * totals; the multi-chip runner (src/scaleout/) drives this executor
+ * once per chip and folds its merged phases through the same function.
+ * Plans are always single-chip: halo exchanges are derived and priced
+ * by scaleout alone. See DESIGN.md for the layer-plan abstraction and
+ * model lowering.
  */
 #pragma once
 
@@ -39,14 +44,6 @@ struct RunOptions
      */
     bool usePartitioning = false;
     /**
-     * Number of chips the inference is sharded across. 1 lowers the
-     * classic single-chip plan; > 1 makes buildPhasePlan insert one
-     * HaloExchange step per layer ahead of the adjacency-streaming
-     * steps, which only the scale-out runner (scaleout::runInference)
-     * can execute -- the single-chip executePlan rejects such plans.
-     */
-    uint32_t chips = 1;
-    /**
      * Dataflow mapping of the engine the plan will execute on.
      * runInference fills it from AcceleratorSim::mapping(); a plan
      * built without an engine in hand falls back to
@@ -54,32 +51,7 @@ struct RunOptions
      * identical to every published engine mapping's.
      */
     std::shared_ptr<const mapping::EngineMapping> mapping;
-
-    /** Fluent setters (the common knobs, chainable). */
-    RunOptions &withThreads(uint32_t t)
-    {
-        sim.threads = t;
-        return *this;
-    }
-    RunOptions &withPartitioning(bool on = true)
-    {
-        usePartitioning = on;
-        return *this;
-    }
-    RunOptions &withChips(uint32_t n)
-    {
-        chips = n;
-        return *this;
-    }
-    RunOptions &withFunctional(bool on = true)
-    {
-        sim.functional = on;
-        return *this;
-    }
 };
-
-/** Deprecated spelling of RunOptions (pre-scale-out API). */
-using RunnerOptions = RunOptions;
 
 /**
  * One step of a lowered inference: a fully described SpDeGEMM plus its
@@ -157,6 +129,15 @@ struct InferenceResult
 
     /** Total DRAM bytes moved. */
     Bytes totalTrafficBytes() const { return traffic.total(); }
+
+    /**
+     * Fold one executed phase into the totals and append it to
+     * `phases`: cycles (overall and by op), MACs, traffic and energy,
+     * plus HDN cache hits/misses of the phases that stream RHS rows
+     * through the cache (aggregation and attention score). simRows and
+     * hostMillis are the caller's: they measure the run, not a phase.
+     */
+    void addPhase(PhaseMetrics &&phase);
 
     /** Aggregate HDN cache hit rate across the phases that stream RHS
      *  rows through the cache (aggregation and attention score). */

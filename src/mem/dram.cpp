@@ -27,6 +27,16 @@ DramTraffic::totalWrite() const
     return total;
 }
 
+DramTraffic &
+DramTraffic::operator+=(const DramTraffic &other)
+{
+    for (size_t i = 0; i < kNumTrafficClasses; ++i) {
+        readBytes[i] += other.readBytes[i];
+        writeBytes[i] += other.writeBytes[i];
+    }
+    return *this;
+}
+
 Bytes
 DramModel::lineAligned(Bytes bytes) const
 {

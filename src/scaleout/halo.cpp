@@ -44,4 +44,19 @@ buildHaloPlan(const sparse::CsrMatrix &adjacency,
     return plan;
 }
 
+std::vector<size_t>
+haloPoints(const gcn::PhasePlan &plan, uint32_t chips)
+{
+    std::vector<size_t> points;
+    if (chips <= 1)
+        return points;
+    for (size_t i = 0; i < plan.size(); ++i) {
+        const bool layerHasHalo =
+            !points.empty() && plan[points.back()].layer == plan[i].layer;
+        if (plan[i].op != gcn::PhaseOp::Combination && !layerHasHalo)
+            points.push_back(i);
+    }
+    return points;
+}
+
 } // namespace grow::scaleout

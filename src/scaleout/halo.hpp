@@ -12,12 +12,18 @@
  * once per layer (the chip-local halo buffer deduplicates the
  * cut-edge endpoints, mirroring how the HDN cache deduplicates
  * on-chip row reuse).
+ *
+ * Where those exchanges sit in an inference is also decided here
+ * (haloPoints): the single-chip phase plan never contains one, and the
+ * runner, its link co-simulation and costmodel::estimateLinkTraffic
+ * all read the positions from the same helper.
  */
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "gcn/runner.hpp"
 #include "scaleout/shard.hpp"
 #include "sim/types.hpp"
 
@@ -67,5 +73,15 @@ struct HaloPlan
  */
 HaloPlan buildHaloPlan(const sparse::CsrMatrix &adjacency,
                        const ChipShardPlan &shard);
+
+/**
+ * The halo exchanges of @p plan sharded across @p chips chips, as
+ * indices into @p plan of the steps they run immediately before: one
+ * per layer, ahead of the layer's first non-combination step. That
+ * step's rhsCols is the exchanged feature width and its lhs the
+ * adjacency whose cut the exchange crosses. Empty for chips == 1.
+ */
+std::vector<size_t> haloPoints(const gcn::PhasePlan &plan,
+                               uint32_t chips);
 
 } // namespace grow::scaleout

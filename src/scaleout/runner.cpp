@@ -93,16 +93,6 @@ struct ChipSlice
     }
 };
 
-/** Element-wise accumulate classified traffic. */
-void
-mergeTraffic(mem::DramTraffic &into, const mem::DramTraffic &from)
-{
-    for (size_t i = 0; i < mem::kNumTrafficClasses; ++i) {
-        into.readBytes[i] += from.readBytes[i];
-        into.writeBytes[i] += from.writeBytes[i];
-    }
-}
-
 /** One chunked link transfer of a halo step. */
 struct LinkTransfer
 {
@@ -112,16 +102,17 @@ struct LinkTransfer
 };
 
 /**
- * Co-simulate the halo steps of @p plan over one egress link per chip.
- * Receiving chips are the arbiter lanes, egress links the resources;
- * each lane's DMA engine pipelines its pulls (serialization chains on
- * the link channel, the per-transfer latency overlaps), and cross-lane
- * link contention resolves at epoch boundaries -- deterministic for
- * every worker count. Returns per-step cycle counts in plan order of
- * the halo steps.
+ * Co-simulate the halo steps of @p plan (at @p points, see haloPoints)
+ * over one egress link per chip. Receiving chips are the arbiter
+ * lanes, egress links the resources; each lane's DMA engine pipelines
+ * its pulls (serialization chains on the link channel, the
+ * per-transfer latency overlaps), and cross-lane link contention
+ * resolves at epoch boundaries -- deterministic for every worker
+ * count. Returns per-step cycle counts in the order of @p points.
  */
 std::vector<Cycle>
-simulateHalo(const gcn::PhasePlan &plan, const HaloPlan &halo,
+simulateHalo(const gcn::PhasePlan &plan,
+             const std::vector<size_t> &points, const HaloPlan &halo,
              const EngineTopology &topo,
              std::vector<std::unique_ptr<InterchipLink>> &links,
              const gcn::RunOptions &options)
@@ -140,11 +131,9 @@ simulateHalo(const gcn::PhasePlan &plan, const HaloPlan &halo,
 
     std::vector<Cycle> stepCycles;
     Cycle clock = 0;
-    for (const gcn::PlannedPhase &ph : plan) {
-        if (ph.op != gcn::PhaseOp::HaloExchange)
-            continue;
+    for (size_t point : points) {
         const Bytes rowBytes =
-            static_cast<Bytes>(ph.problem.rhsCols) * kValueBytes;
+            static_cast<Bytes>(plan[point].problem.rhsCols) * kValueBytes;
 
         // Per-lane transfer lists: every remote boundary vertex's
         // feature row, chunked to the link DMA granularity, sources in
@@ -217,6 +206,34 @@ simulateHalo(const gcn::PhasePlan &plan, const HaloPlan &halo,
     return stepCycles;
 }
 
+/**
+ * Whole-topology phase for plan step @p step: per-phase max cycles
+ * across chips (they run concurrently), everything else summed.
+ */
+gcn::PhaseMetrics
+mergeChipPhase(const std::vector<gcn::InferenceResult> &perChip,
+               size_t step)
+{
+    const gcn::PhaseMetrics &first = perChip.front().phases.at(step);
+    gcn::PhaseMetrics pm;
+    pm.layer = first.layer;
+    pm.op = first.op;
+    pm.result.engine = first.result.engine;
+    pm.result.phase = first.result.phase;
+    pm.result.label = first.result.label;
+    for (const gcn::InferenceResult &chip : perChip) {
+        const gcn::PhaseMetrics &cpm = chip.phases.at(step);
+        pm.result.cycles = std::max(pm.result.cycles, cpm.result.cycles);
+        pm.result.macOps += cpm.result.macOps;
+        pm.result.cacheHits += cpm.result.cacheHits;
+        pm.result.cacheMisses += cpm.result.cacheMisses;
+        pm.result.traffic += cpm.result.traffic;
+        pm.energy += cpm.energy;
+        pm.hostMillis += cpm.hostMillis;
+    }
+    return pm;
+}
+
 } // namespace
 
 ScaleoutResult
@@ -230,29 +247,22 @@ runInference(const EngineTopology &topology,
     driver::EngineSpec spec = driver::engineForTopology(topology);
 
     gcn::RunOptions opts = options;
-    opts.chips = chips;
     opts.usePartitioning = spec.usePartitioning;
     GROW_ASSERT(!opts.sim.functional || chips == 1,
                 "multi-chip topologies have no functional mode");
 
     const gcn::PhasePlan plan = gcn::buildPhasePlan(workload, opts);
+    const std::vector<size_t> points = haloPoints(plan, chips);
 
     ScaleoutResult out;
-    // The shard objective streams the same relabeled operand the
-    // aggregation does (the halo markers carry it for chips > 1).
     if (chips > 1) {
-        const sparse::CsrMatrix *adjacency = nullptr;
-        for (const auto &ph : plan) {
-            if (ph.op == gcn::PhaseOp::HaloExchange) {
-                adjacency = ph.problem.lhs;
-                break;
-            }
-        }
-        GROW_ASSERT(adjacency != nullptr,
-                    "multi-chip plan lacks halo markers");
-        out.shard = buildShardPlan(*adjacency,
+        // The shard objective is the adjacency the halo exchanges
+        // cross (the relabeled operand the aggregation streams).
+        const sparse::CsrMatrix &adjacency =
+            *plan[points.front()].problem.lhs;
+        out.shard = buildShardPlan(adjacency,
                                    workload.relabel().clustering, chips);
-        out.halo = buildHaloPlan(*adjacency, out.shard);
+        out.halo = buildHaloPlan(adjacency, out.shard);
     } else {
         const uint32_t nodes = workload.nodes();
         out.shard.chips = 1;
@@ -291,8 +301,6 @@ runInference(const EngineTopology &topology,
             slice.ranges = {{0u, workload.nodes()}};
         }
         for (const gcn::PlannedPhase &ph : plan) {
-            if (ph.op == gcn::PhaseOp::HaloExchange)
-                continue;
             gcn::PlannedPhase chipPh = ph;
             chipPh.problem.lhs = &slice.slice(*ph.problem.lhs);
             if (ph.problem.clustering != nullptr) {
@@ -320,16 +328,12 @@ runInference(const EngineTopology &topology,
             links.push_back(
                 std::make_unique<InterchipLink>(s, topology.link));
         haloStepCycles =
-            simulateHalo(plan, out.halo, topology, links, opts);
+            simulateHalo(plan, points, out.halo, topology, links, opts);
     }
 
     // ---- Link accounting (exact by construction) --------------------
     out.links.egressBytes.assign(chips, 0);
     out.links.egressBusyCycles.assign(chips, 0);
-    std::vector<uint32_t> haloLayers;
-    for (const auto &ph : plan)
-        if (ph.op == gcn::PhaseOp::HaloExchange)
-            haloLayers.push_back(ph.problem.rhsCols);
     for (uint32_t src = 0; src < chips; ++src) {
         for (uint32_t dst = 0; dst < chips; ++dst) {
             if (src == dst)
@@ -337,7 +341,8 @@ runInference(const EngineTopology &topology,
             LinkPairTraffic pair;
             pair.src = src;
             pair.dst = dst;
-            for (uint32_t cols : haloLayers) {
+            for (size_t point : points) {
+                const uint32_t cols = plan[point].problem.rhsCols;
                 pair.bytes += out.halo.pairPhaseBytes(dst, src, cols);
                 const Bytes rowBytes =
                     static_cast<Bytes>(cols) * kValueBytes;
@@ -373,65 +378,25 @@ runInference(const EngineTopology &topology,
     }
     out.haloBytes = out.links.totalBytes;
 
-    // ---- Merge ------------------------------------------------------
+    // ---- Merge: the single-chip fold over whole-topology phases -----
     gcn::InferenceResult &merged = out.merged;
-    merged = gcn::InferenceResult{};
     merged.engine = out.perChip.front().engine;
     merged.model = out.perChip.front().model;
     merged.modelAreaOverhead = out.perChip.front().modelAreaOverhead;
-    size_t chipPhase = 0;
     size_t haloStep = 0;
-    for (const gcn::PlannedPhase &ph : plan) {
-        gcn::PhaseMetrics pm;
-        pm.layer = ph.layer;
-        pm.op = ph.op;
-        if (ph.op == gcn::PhaseOp::HaloExchange) {
-            const Cycle cycles = haloStepCycles.at(haloStep++);
-            pm.result.cycles = cycles;
-            pm.result.label = ph.problem.label;
-            merged.totalCycles += cycles;
-            merged.haloCycles += cycles;
-        } else {
-            Cycle maxCycles = 0;
-            for (uint32_t c = 0; c < chips; ++c) {
-                const gcn::PhaseMetrics &cpm =
-                    out.perChip[c].phases.at(chipPhase);
-                maxCycles = std::max(maxCycles, cpm.result.cycles);
-                pm.result.macOps += cpm.result.macOps;
-                pm.result.cacheHits += cpm.result.cacheHits;
-                pm.result.cacheMisses += cpm.result.cacheMisses;
-                mergeTraffic(pm.result.traffic, cpm.result.traffic);
-                pm.energy += cpm.energy;
-                pm.hostMillis += cpm.hostMillis;
-            }
-            const gcn::PhaseMetrics &first =
-                out.perChip.front().phases.at(chipPhase);
-            pm.result.engine = first.result.engine;
-            pm.result.phase = first.result.phase;
-            pm.result.label = first.result.label;
-            pm.result.cycles = maxCycles;
-            merged.totalCycles += maxCycles;
-            merged.macOps += pm.result.macOps;
-            merged.cacheHits += pm.result.cacheHits;
-            merged.cacheMisses += pm.result.cacheMisses;
-            mergeTraffic(merged.traffic, pm.result.traffic);
-            merged.energy += pm.energy;
-            switch (ph.op) {
-              case gcn::PhaseOp::Combination:
-                merged.combinationCycles += maxCycles;
-                break;
-              case gcn::PhaseOp::Aggregation:
-                merged.aggregationCycles += maxCycles;
-                break;
-              case gcn::PhaseOp::AttentionScore:
-                merged.attentionCycles += maxCycles;
-                break;
-              case gcn::PhaseOp::HaloExchange:
-                break; // handled above
-            }
-            ++chipPhase;
+    for (size_t i = 0; i < plan.size(); ++i) {
+        if (haloStep < points.size() && points[haloStep] == i) {
+            gcn::PhaseMetrics pm;
+            pm.layer = plan[i].layer;
+            pm.op = gcn::PhaseOp::HaloExchange;
+            pm.result.cycles = haloStepCycles[haloStep++];
+            pm.result.label =
+                std::string(gcn::modelKindName(plan[i].model)) + " " +
+                gcn::phaseOpName(pm.op) + " layer " +
+                std::to_string(pm.layer);
+            merged.addPhase(std::move(pm));
         }
-        merged.phases.push_back(std::move(pm));
+        merged.addPhase(mergeChipPhase(out.perChip, i));
     }
     for (const auto &chipRes : out.perChip) {
         merged.simRows += chipRes.simRows;

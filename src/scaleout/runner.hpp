@@ -1,32 +1,34 @@
 /**
  * @file
- * Multi-chip sharded co-simulation.
+ * Multi-chip sharded co-simulation: a layer over the single-chip
+ * runner.
  *
  * scaleout::runInference executes one inference across the chips of an
  * EngineTopology:
  *
- *  1. The workload is lowered once (gcn::buildPhasePlan with
- *     options.chips = topology.chips), which interleaves one
- *     HaloExchange step per layer ahead of the adjacency-streaming
- *     steps.
+ *  1. The workload is lowered once, exactly as for one chip
+ *     (gcn::buildPhasePlan). haloPoints (scaleout/halo.hpp) derives
+ *     where the halo exchanges sit: one per layer, ahead of the
+ *     layer's first adjacency-streaming step.
  *  2. A ChipShardPlan assigns the partitioner's clusters to chips
- *     (cut-arc-minimising, balance-capped), and every engine phase is
+ *     (cut-arc-minimising, balance-capped), and every plan step is
  *     row-sliced to each chip's owned clusters: the sliced operands
  *     keep global column IDs, so the relabeled layout, per-cluster HDN
  *     lists and the engines' cluster round-robin apply unchanged.
  *  3. Each chip's slice runs through the unchanged single-chip
  *     executor (gcn::executePlan) -- chips are hermetic between halo
- *     points, so the per-chip results fold with per-phase max cycles
- *     (chips run concurrently in real hardware) and summed traffic /
- *     MACs / energy.
- *  4. The HaloExchange steps are co-simulated against one
- *     InterchipLink per chip through the generalized
- *     accel::EpochArbiter (links are the resources, receiving chips
- *     the lanes), so link contention resolves at deterministic epoch
- *     boundaries: results are bit-identical for every `threads=`
- *     value, and a chips=1 topology reproduces the single-chip path
- *     byte-for-byte (the identity slice is the whole workload and no
- *     halo steps exist).
+ *     points.
+ *  4. The halo exchanges are co-simulated against one InterchipLink
+ *     per chip through the generalized accel::EpochArbiter (links are
+ *     the resources, receiving chips the lanes), so link contention
+ *     resolves at deterministic epoch boundaries: results are
+ *     bit-identical for every `threads=` value.
+ *  5. The merge builds one whole-topology phase per plan step
+ *     (per-phase max cycles across chips, everything else summed),
+ *     inserts a HaloExchange phase at every halo point, and folds them
+ *     through the single-chip fold (gcn::InferenceResult::addPhase).
+ *     A chips=1 topology therefore reproduces gcn::runInference
+ *     exactly; tests/scaleout checks it for every engine key.
  *
  * See DESIGN.md "Multi-chip scale-out".
  */
@@ -71,8 +73,9 @@ struct ScaleoutResult
     /**
      * Whole-topology aggregate: per-phase max cycles across chips
      * (summed over phases, halo steps included), summed traffic /
-     * MACs / energy / cache statistics. For chips == 1 this is
-     * bit-identical to the single-chip gcn::runInference result.
+     * MACs / energy / cache statistics, folded exactly as the
+     * single-chip runner folds its phases. For chips == 1 this equals
+     * the gcn::runInference result.
      */
     gcn::InferenceResult merged;
     /** Per-chip single-chip results, chip order. */
@@ -88,8 +91,8 @@ struct ScaleoutResult
 
 /**
  * Run one inference of @p workload on @p topology under @p options
- * (options.chips is overridden by topology.chips). Deterministic:
- * bit-identical for every options.sim.threads value.
+ * (options.usePartitioning is overridden by the topology's engine).
+ * Deterministic: bit-identical for every options.sim.threads value.
  */
 ScaleoutResult runInference(const EngineTopology &topology,
                             const gcn::GcnWorkload &workload,

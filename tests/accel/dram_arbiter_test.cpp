@@ -64,14 +64,14 @@ TEST(EpochArbiter, SingleLaneSingleEpochMatchesDirectDevice)
     // so responses equal the unarbitrated device exactly.
     mem::SimpleDram direct(testConfig());
     mem::SimpleDram canonical(testConfig());
-    EpochDramArbiter arbiter(canonical, 1);
+    EpochArbiter arbiter({&canonical}, 1);
 
     Cycle t = 0;
     for (int i = 0; i < 20; ++i) {
         arbiter.beginEpoch();
         Cycle d = direct.read(t, 64 * i, 100 + 13 * i,
                               TrafficClass::DenseRow);
-        Cycle p = arbiter.lane(0).read(t, 64 * i, 100 + 13 * i,
+        Cycle p = arbiter.port(0, 0).read(t, 64 * i, 100 + 13 * i,
                                        TrafficClass::DenseRow);
         EXPECT_EQ(d, p) << "request " << i;
         arbiter.commitEpoch();
@@ -90,14 +90,14 @@ TEST(EpochArbiter, IssueOrderWithinAnEpochDoesNotMatter)
     // exactly why worker scheduling cannot perturb the simulation.
     auto runInterleaved = [](bool lane0_first, mem::SimpleDram &canonical,
                              std::vector<Cycle> &responses) {
-        EpochDramArbiter arbiter(canonical, 2);
+        EpochArbiter arbiter({&canonical}, 2);
         for (int epoch = 0; epoch < 5; ++epoch) {
             arbiter.beginEpoch();
-            arbiter.lane(0).setCluster(0);
-            arbiter.lane(1).setCluster(1);
+            arbiter.port(0, 0).setCluster(0);
+            arbiter.port(0, 1).setCluster(1);
             auto issueLane = [&](uint32_t lane) {
                 for (int i = 0; i < 4; ++i) {
-                    responses.push_back(arbiter.lane(lane).read(
+                    responses.push_back(arbiter.port(0, lane).read(
                         epoch * 100 + i, lane * 4096 + 64 * i,
                         90 + 10 * lane + i, TrafficClass::DenseRow));
                 }
@@ -141,14 +141,14 @@ TEST(EpochArbiter, IssueOrderWithinAnEpochDoesNotMatter)
 TEST(EpochArbiter, CommitReplaysEveryRecordedByte)
 {
     mem::SimpleDram canonical(testConfig());
-    EpochDramArbiter arbiter(canonical, 3);
+    EpochArbiter arbiter({&canonical}, 3);
     arbiter.beginEpoch();
     Bytes lineSum = 0;
     for (uint32_t lane = 0; lane < 3; ++lane) {
-        arbiter.lane(lane).setCluster(10 + lane);
+        arbiter.port(0, lane).setCluster(10 + lane);
         for (int i = 0; i < 3; ++i) {
             Bytes b = 30 + 64 * lane + i;
-            arbiter.lane(lane).read(i, 0, b, TrafficClass::DenseRow);
+            arbiter.port(0, lane).read(i, 0, b, TrafficClass::DenseRow);
             lineSum += roundedTraffic(b);
         }
     }
@@ -165,15 +165,15 @@ TEST(EpochArbiter, CrossLaneBacklogArrivesAtTheNextEpoch)
     // responses in epoch 2 (the replicas snapshot the post-commit
     // canonical state), but not within epoch 1.
     mem::SimpleDram canonical(testConfig());
-    EpochDramArbiter arbiter(canonical, 2);
+    EpochArbiter arbiter({&canonical}, 2);
 
     arbiter.beginEpoch();
-    Cycle lone = arbiter.lane(1).read(0, 0, 64, TrafficClass::DenseRow);
-    arbiter.lane(0).read(0, 0, 1 << 20, TrafficClass::HdnPreload);
+    Cycle lone = arbiter.port(0, 1).read(0, 0, 64, TrafficClass::DenseRow);
+    arbiter.port(0, 0).read(0, 0, 1 << 20, TrafficClass::HdnPreload);
     arbiter.commitEpoch();
 
     arbiter.beginEpoch();
-    Cycle delayed = arbiter.lane(1).read(0, 0, 64,
+    Cycle delayed = arbiter.port(0, 1).read(0, 0, 64,
                                          TrafficClass::DenseRow);
     arbiter.commitEpoch();
     EXPECT_GT(delayed, lone);
@@ -182,12 +182,12 @@ TEST(EpochArbiter, CrossLaneBacklogArrivesAtTheNextEpoch)
 TEST(EpochArbiter, UsageErrorsPanic)
 {
     mem::SimpleDram canonical(testConfig());
-    EpochDramArbiter arbiter(canonical, 1);
+    EpochArbiter arbiter({&canonical}, 1);
     // Request outside an open epoch.
-    EXPECT_THROW(arbiter.lane(0).read(0, 0, 64, TrafficClass::DenseRow),
+    EXPECT_THROW(arbiter.port(0, 0).read(0, 0, 64, TrafficClass::DenseRow),
                  std::logic_error);
     arbiter.beginEpoch();
-    arbiter.lane(0).read(0, 0, 64, TrafficClass::DenseRow);
+    arbiter.port(0, 0).read(0, 0, 64, TrafficClass::DenseRow);
     // beginEpoch with uncommitted requests.
     EXPECT_THROW(arbiter.beginEpoch(), std::logic_error);
 }

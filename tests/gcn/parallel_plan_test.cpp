@@ -78,7 +78,7 @@ runWith(const std::string &engine_key, const GcnWorkload &w,
 {
     auto spec = driver::engineByKey(engine_key);
     auto engine = spec.make();
-    RunnerOptions opt;
+    RunOptions opt;
     opt.usePartitioning = spec.usePartitioning;
     opt.sim.threads = threads;
     opt.sim.epochCycles = epoch_cycles;
@@ -134,7 +134,7 @@ TEST(ParallelPlan, FunctionalModeStaysSerialAndVerifies)
     auto w = makeWorkload(ModelKind::Gcn, 2, /*functional=*/true);
     auto spec = driver::engineByKey("grow");
     auto engine = spec.make();
-    RunnerOptions opt;
+    RunOptions opt;
     opt.usePartitioning = spec.usePartitioning;
     opt.sim.functional = true;
     opt.sim.threads = 8;
@@ -150,7 +150,7 @@ TEST(ParallelPlan, CloneProducesIdenticalResults)
     auto spec = driver::engineByKey("grow");
     auto engine = spec.make();
     auto clone = engine->clone();
-    RunnerOptions opt;
+    RunOptions opt;
     opt.usePartitioning = spec.usePartitioning;
     auto a = runInference(*engine, w, opt);
     auto b = runInference(*clone, w, opt);

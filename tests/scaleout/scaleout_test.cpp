@@ -1,8 +1,9 @@
 /**
  * @file
  * Multi-chip scale-out invariants: chips=1 reproduces the single-chip
- * runner bit-for-bit, sharded runs are deterministic for every worker
- * count, the link byte counters obey conservation (sent == received ==
+ * runner bit-for-bit for every engine, sharded runs place one halo
+ * exchange per layer ahead of its adjacency steps and are
+ * deterministic for every worker count, the link byte counters obey conservation (sent == received ==
  * cut-edge halo feature bytes), and the closed-form link estimate
  * prices the co-simulation within its documented envelope.
  */
@@ -22,16 +23,20 @@ namespace {
 
 /** Unit-tier workloads with clusters small enough to shard 8 ways. */
 const gcn::GcnWorkload &
-workloadOf(const std::string &name)
+workloadOf(const std::string &name,
+           gcn::ModelKind model = gcn::ModelKind::Gcn)
 {
-    static std::map<std::string, gcn::GcnWorkload> cache;
-    auto it = cache.find(name);
+    static std::map<std::pair<std::string, gcn::ModelKind>,
+                    gcn::GcnWorkload>
+        cache;
+    auto it = cache.find({name, model});
     if (it == cache.end()) {
         gcn::WorkloadConfig c;
         c.tier = graph::ScaleTier::Unit;
+        c.model = model;
         c.targetClusterSize = 64;
         it = cache
-                 .emplace(name,
+                 .emplace(std::pair{name, model},
                           gcn::buildWorkload(graph::datasetByName(name),
                                              c))
                  .first;
@@ -50,40 +55,102 @@ expectSameResult(const gcn::InferenceResult &a,
     EXPECT_EQ(a.attentionCycles, b.attentionCycles);
     EXPECT_EQ(a.haloCycles, b.haloCycles);
     EXPECT_EQ(a.macOps, b.macOps);
-    EXPECT_EQ(a.totalTrafficBytes(), b.totalTrafficBytes());
+    EXPECT_EQ(a.traffic.readBytes, b.traffic.readBytes);
+    EXPECT_EQ(a.traffic.writeBytes, b.traffic.writeBytes);
     EXPECT_EQ(a.cacheHits, b.cacheHits);
     EXPECT_EQ(a.cacheMisses, b.cacheMisses);
-    EXPECT_DOUBLE_EQ(a.energy.total(), b.energy.total());
+    EXPECT_EQ(a.energy.total(), b.energy.total());
+    EXPECT_EQ(a.simRows, b.simRows);
     ASSERT_EQ(a.phases.size(), b.phases.size());
     for (size_t i = 0; i < a.phases.size(); ++i) {
-        EXPECT_EQ(a.phases[i].op, b.phases[i].op) << "phase " << i;
-        EXPECT_EQ(a.phases[i].result.cycles, b.phases[i].result.cycles)
+        const auto &pa = a.phases[i];
+        const auto &pb = b.phases[i];
+        EXPECT_EQ(pa.op, pb.op) << "phase " << i;
+        EXPECT_EQ(pa.layer, pb.layer) << "phase " << i;
+        EXPECT_EQ(pa.result.label, pb.result.label) << "phase " << i;
+        EXPECT_EQ(pa.result.cycles, pb.result.cycles) << "phase " << i;
+        EXPECT_EQ(pa.result.cacheHits, pb.result.cacheHits)
             << "phase " << i;
-        EXPECT_EQ(a.phases[i].result.traffic.total(),
-                  b.phases[i].result.traffic.total())
+        EXPECT_EQ(pa.result.cacheMisses, pb.result.cacheMisses)
             << "phase " << i;
+        EXPECT_EQ(pa.result.traffic.readBytes, pb.result.traffic.readBytes)
+            << "phase " << i;
+        EXPECT_EQ(pa.result.traffic.writeBytes,
+                  pb.result.traffic.writeBytes)
+            << "phase " << i;
+        EXPECT_EQ(pa.energy.total(), pb.energy.total()) << "phase " << i;
     }
 }
 
 TEST(Scaleout, OneChipTopologyReproducesSingleChipRunner)
 {
     const auto &w = workloadOf("cora");
-    const auto topo = EngineTopology("grow").withChips(1);
+    for (const std::string &key : driver::knownEngineKeys()) {
+        for (uint32_t threads : {1u, 4u}) {
+            SCOPED_TRACE(key + " threads=" + std::to_string(threads));
+            const auto topo = EngineTopology(key).withChips(1);
+            gcn::RunOptions opts;
+            opts.sim.threads = threads;
+            const auto sharded = runInference(topo, w, opts);
 
-    gcn::RunOptions opts;
-    opts.sim.threads = 2;
-    const auto sharded = runInference(topo, w, opts);
+            auto spec = driver::engineForTopology(topo);
+            gcn::RunOptions single = opts;
+            single.usePartitioning = spec.usePartitioning;
+            auto engine = spec.make();
+            const auto direct = gcn::runInference(*engine, w, single);
 
-    auto spec = driver::engineByKey("grow");
-    gcn::RunOptions single = opts;
-    single.usePartitioning = spec.usePartitioning;
-    auto engine = spec.make();
-    const auto direct = gcn::runInference(*engine, w, single);
+            expectSameResult(sharded.merged, direct);
+            EXPECT_EQ(sharded.haloBytes, 0u);
+            EXPECT_EQ(sharded.haloCycles, 0u);
+            EXPECT_EQ(sharded.shard.cutArcs, 0u);
+        }
+    }
+}
 
-    expectSameResult(sharded.merged, direct);
-    EXPECT_EQ(sharded.haloBytes, 0u);
-    EXPECT_EQ(sharded.haloCycles, 0u);
-    EXPECT_EQ(sharded.shard.cutArcs, 0u);
+TEST(Scaleout, OneHaloExchangePerLayerAheadOfTheAdjacencySteps)
+{
+    for (gcn::ModelKind model :
+         {gcn::ModelKind::Gcn, gcn::ModelKind::Gat, gcn::ModelKind::Gin}) {
+        SCOPED_TRACE(gcn::modelKindName(model));
+        const auto &w = workloadOf("cora", model);
+        gcn::RunOptions opts;
+        opts.sim.threads = 2;
+        const auto r =
+            runInference(EngineTopology("grow").withChips(2), w, opts);
+
+        const auto &phases = r.merged.phases;
+        ASSERT_EQ(phases.size(), (gcn::modelPhasesPerLayer(model) + 1) *
+                                     w.numLayers());
+        std::vector<uint32_t> haloLayers;
+        Bytes haloBytes = 0;
+        Cycle haloCycles = 0;
+        for (size_t i = 0; i < phases.size(); ++i) {
+            if (phases[i].op != gcn::PhaseOp::HaloExchange)
+                continue;
+            const uint32_t layer = phases[i].layer;
+            haloLayers.push_back(layer);
+            haloBytes += r.halo.phaseBytes(w.layer(layer).outDim);
+            haloCycles += phases[i].result.cycles;
+            // Immediately before the layer's first adjacency step:
+            // everything of the layer ahead of it is a combination.
+            ASSERT_LT(i + 1, phases.size());
+            EXPECT_EQ(phases[i + 1].layer, layer);
+            EXPECT_NE(phases[i + 1].op, gcn::PhaseOp::Combination);
+            for (size_t j = 0; j < i; ++j) {
+                if (phases[j].layer == layer) {
+                    EXPECT_EQ(phases[j].op, gcn::PhaseOp::Combination);
+                }
+            }
+        }
+        std::vector<uint32_t> everyLayer(w.numLayers());
+        for (uint32_t l = 0; l < w.numLayers(); ++l)
+            everyLayer[l] = l;
+        EXPECT_EQ(haloLayers, everyLayer);
+        EXPECT_GT(r.haloBytes, 0u);
+        EXPECT_EQ(haloBytes, r.haloBytes);
+        EXPECT_EQ(haloCycles, r.haloCycles);
+        EXPECT_EQ(r.merged.haloCycles, r.haloCycles);
+    }
 }
 
 TEST(Scaleout, ShardedRunIsThreadCountInvariant)
@@ -146,18 +213,11 @@ TEST(Scaleout, LinkByteConservation)
         // Independently recompute the expected halo payload from the
         // halo plan: boundary vertices x per-layer feature bytes.
         Bytes expected = 0;
-        gcn::RunOptions planOpts;
-        planOpts.usePartitioning = true;
-        planOpts.chips = chips;
-        const auto plan = gcn::buildPhasePlan(w, planOpts);
-        for (const auto &ph : plan) {
-            if (ph.op != gcn::PhaseOp::HaloExchange)
-                continue;
+        for (uint32_t layer = 0; layer < w.numLayers(); ++layer)
             for (uint32_t dst = 0; dst < chips; ++dst)
                 for (uint32_t src = 0; src < chips; ++src)
                     expected += r.halo.pairPhaseBytes(
-                        dst, src, ph.problem.rhsCols);
-        }
+                        dst, src, w.layer(layer).outDim);
         EXPECT_EQ(expected, r.haloBytes) << "chips=" << chips;
         EXPECT_GT(r.haloBytes, 0u) << "chips=" << chips;
     }
@@ -174,7 +234,6 @@ TEST(Scaleout, LinkEstimateMatchesSimulatedBytesExactly)
 
     gcn::RunOptions planOpts;
     planOpts.usePartitioning = true;
-    planOpts.chips = chips;
     const auto plan = gcn::buildPhasePlan(w, planOpts);
     const auto est = costmodel::estimateLinkTraffic(plan, r.shard,
                                                     r.halo, topo.link);
