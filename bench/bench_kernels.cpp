@@ -4,17 +4,21 @@
  * SpMM, format conversions, tile census, graph generation, the
  * multilevel partitioner and the workload-construction split, plus
  * paired old-vs-new container benches of the RowEngine hot-loop data
- * structures (ring/flat-map vs deque/unordered_map) and the WorkPool
- * submit path. These quantify the host-side cost of the simulation
+ * structures (ring/flat-map vs deque/unordered_map, run-length MAC
+ * queue vs per-product heap) and the WorkPool submit path. These quantify the host-side cost of the simulation
  * substrate itself (not simulated cycles).
  */
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <atomic>
 #include <deque>
 #include <filesystem>
+#include <functional>
+#include <queue>
 #include <unordered_map>
 
+#include "core/mac_scheduler.hpp"
 #include "gcn/runner.hpp"
 #include "gcn/workload.hpp"
 #include "graph/file_graph.hpp"
@@ -406,6 +410,106 @@ BM_RunaheadWindowRing(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RunaheadWindowRing);
+
+/** The per-product heap core::MacScheduler replaced: every product,
+ *  hit or miss, is one heap node ordered by (ready, seq). */
+class HeapMacScheduler
+{
+  public:
+    void
+    addInOrder(Cycle ready, uint64_t token, Cycle dur)
+    {
+        heap_.push(Node{ready, seq_++, token, dur});
+    }
+
+    void
+    addMissFill(Cycle ready, uint64_t token, Cycle dur)
+    {
+        addInOrder(ready, token, dur);
+    }
+
+    core::MacCompletion
+    drainOne()
+    {
+        Node n = heap_.top();
+        heap_.pop();
+        macFree_ = std::max(macFree_, n.ready) + n.dur;
+        return core::MacCompletion{n.token, macFree_, 1};
+    }
+
+  private:
+    struct Node
+    {
+        Cycle ready;
+        uint64_t seq;
+        uint64_t token;
+        Cycle dur;
+        bool
+        operator>(const Node &o) const
+        {
+            return ready != o.ready ? ready > o.ready : seq > o.seq;
+        }
+    };
+    std::priority_queue<Node, std::vector<Node>, std::greater<>> heap_;
+    uint64_t seq_ = 0;
+    Cycle macFree_ = 0;
+};
+
+/**
+ * The row engine's MAC traffic: each iteration issues one row of
+ * kRowNnz products, one per cycle (F = 64 on 16 lanes: 4 cycles each),
+ * into a window of kWindowDepth rows retired in order. Arg = percent
+ * of products that hit: 100 is combination (W on-chip), 44 is
+ * aggregation at amazon's HDN hit rate, misses ready 80..143 cycles
+ * after issue.
+ */
+template <typename Sched>
+void
+macStream(benchmark::State &state)
+{
+    constexpr uint32_t kRowNnz = 16;
+    constexpr Cycle kDur = 4;
+    const uint64_t hitPct = static_cast<uint64_t>(state.range(0));
+    Sched mac;
+    std::array<uint64_t, kWindowDepth> pending{};
+    uint64_t token = 0, front = 0, lcg = 0x2545F4914F6CDD1DULL;
+    Cycle clock = 0;
+    for (auto _ : state) {
+        if (token - front == kWindowDepth) {
+            while (pending[front % kWindowDepth] > 0) {
+                core::MacCompletion c = mac.drainOne();
+                pending[c.rowToken % kWindowDepth] -= c.count;
+            }
+            ++front;
+        }
+        for (uint32_t i = 0; i < kRowNnz; ++i) {
+            clock += 1;
+            lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+            if ((lcg >> 33) % 100 < hitPct)
+                mac.addInOrder(clock, token, kDur);
+            else
+                mac.addMissFill(clock + 80 + (lcg >> 58), token, kDur);
+        }
+        pending[token % kWindowDepth] = kRowNnz;
+        ++token;
+    }
+    state.SetItemsProcessed(state.iterations() * kRowNnz);
+    state.SetLabel(hitPct == 100 ? "combination" : "aggregation");
+}
+
+void
+BM_MacSchedulerHeap(benchmark::State &state)
+{
+    macStream<HeapMacScheduler>(state);
+}
+BENCHMARK(BM_MacSchedulerHeap)->Arg(100)->Arg(44);
+
+void
+BM_MacSchedulerRuns(benchmark::State &state)
+{
+    macStream<core::MacScheduler>(state);
+}
+BENCHMARK(BM_MacSchedulerRuns)->Arg(100)->Arg(44);
 
 /**
  * WorkPool submit throughput: one epoch-mode co-simulation round is

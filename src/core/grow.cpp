@@ -100,6 +100,11 @@ runEpochRounds(std::vector<std::unique_ptr<RowEngine>> &engines,
 GrowSim::GrowSim(GrowConfig config) : config_(std::move(config))
 {
     GROW_ASSERT(config_.numPes >= 1, "need at least one PE");
+    GROW_ASSERT(config_.numMacs >= 1, "GROW needs at least one MAC");
+    GROW_ASSERT(config_.ldnEntries >= 1,
+                "GROW needs at least one LDN table entry");
+    GROW_ASSERT(config_.lhsIdEntries >= 1,
+                "GROW needs at least one LHS ID table entry");
 }
 
 mapping::EngineMapping
@@ -127,7 +132,7 @@ GrowSim::mapping() const
                  {Dim::N, MapKind::Spatial, config_.numMacs}};
     agg.spatialLanes = config_.numMacs;
     agg.rowWindow = config_.runaheadDegree;
-    agg.missConcurrency = std::max(1u, config_.ldnEntries);
+    agg.missConcurrency = config_.ldnEntries;
     agg.streamChunkBytes = config_.dmaChunkBytes;
     agg.denseReuse = !config_.hdnCacheEnabled ? DenseReuse::None
                      : config_.hdnPolicy == HdnPolicy::Lru

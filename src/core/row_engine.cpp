@@ -83,7 +83,7 @@ RowEngine::RowEngine(const GrowConfig &config,
       window_(arena_, std::max<uint32_t>(1, config.runaheadDegree)),
       streamChunks_(arena_,
                     streamChunkBound(config, extent_.maxRowBytes)),
-      ldnMap_(config.ldnEntries ? config.ldnEntries : 1, kInvalidNode),
+      ldnMap_(config.ldnEntries, kInvalidNode),
       hdnCache_(cacheConfigFor(config, problem), problem.lhs->cols()),
       lruCache_(config.hdn.capacityBytes,
                 std::max<Bytes>(1, static_cast<Bytes>(problem.rhsCols) *
@@ -297,8 +297,8 @@ RowEngine::retireFront()
     while (window_.front().pending > 0) {
         MacCompletion comp = mac_.drainOne();
         Slot &slot = findSlot(comp.rowToken);
-        GROW_ASSERT(slot.pending > 0, "pending underflow");
-        slot.pending -= 1;
+        GROW_ASSERT(slot.pending >= comp.count, "pending underflow");
+        slot.pending -= static_cast<uint32_t>(comp.count);
         slot.lastFinish = std::max(slot.lastFinish, comp.finish);
     }
     Slot front = window_.front();
@@ -358,10 +358,11 @@ RowEngine::processNextRow()
         clock_ += 1; // HDN ID list CAM: one lookup per cycle
         stats_.camLookups += 1;
 
-        Cycle ready;
+        // Products ready at issue (on-chip W, cache hits) go to the
+        // MAC run queue in clock order; miss fills return out of order.
         if (problem_.rhsOnChip) {
             wBuf_.read(rhsRowBytes);
-            ready = clock_;
+            mac_.addInOrder(clock_, token, durPerProduct_);
         } else if (config_.hdnCacheEnabled &&
                    config_.hdnPolicy == HdnPolicy::Lru) {
             // Sec. VIII alternative: demand-filled LRU over the same
@@ -369,19 +370,18 @@ RowEngine::processNextRow()
             if (lruCache_.lookup(k)) {
                 ++lruHits_;
                 hdnCache_.dataArray().read(rhsRowBytes);
-                ready = clock_;
+                mac_.addInOrder(clock_, token, durPerProduct_);
             } else {
                 ++lruMisses_;
-                ready = missFetch(k);
+                mac_.addMissFill(missFetch(k), token, durPerProduct_);
                 lruCache_.insert(k);
                 hdnCache_.dataArray().write(rhsRowBytes);
             }
         } else if (config_.hdnCacheEnabled && hdnCache_.lookup(k)) {
-            ready = clock_;
+            mac_.addInOrder(clock_, token, durPerProduct_);
         } else {
-            ready = missFetch(k);
+            mac_.addMissFill(missFetch(k), token, durPerProduct_);
         }
-        mac_.addProduct(ready, token, durPerProduct_);
         window_.back().pending += 1;
         oBufDense_.write(rhsRowBytes);
         stats_.products += 1;

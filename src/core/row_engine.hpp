@@ -29,7 +29,10 @@
  * from the hardware configuration, so they never grow; the swap from
  * std::deque/std::unordered_map is bit-identical in simulated results
  * and substantially faster in host wall-clock (bench_kernels
- * BM_LdnTable*, BM_RowEngineAggregation).
+ * BM_LdnTable*, BM_RunaheadWindow*). Likewise the MAC array queues
+ * products that are ready at issue as run-length entries and keeps a
+ * heap only for miss fills (core/mac_scheduler.hpp,
+ * BM_MacScheduler*).
  *
  * With GrowConfig::hdnPreloadOverlap the engine issues the next
  * cluster's HDN preload without stalling its control clock: the

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "accel/accelerator.hpp"
 #include "core/grow.hpp"
 #include "sparse/convert.hpp"
@@ -207,6 +210,40 @@ TEST(GrowEngine, LargerTablesReduceStallsAndCycles)
     auto rt = GrowSim(tiny).run(p, accel::SimOptions{});
     auto rp = GrowSim(paper).run(p, accel::SimOptions{});
     EXPECT_GT(rt.cycles, rp.cycles);
+}
+
+/** Constructing GrowSim from @p cfg panics naming @p reason. */
+void
+expectRejected(const GrowConfig &cfg, const std::string &reason)
+{
+    try {
+        GrowSim sim(cfg);
+        ADD_FAILURE() << "config accepted, expected: " << reason;
+    } catch (const std::logic_error &e) {
+        EXPECT_NE(std::string(e.what()).find(reason), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(GrowEngine, ZeroMacsRejected)
+{
+    GrowConfig cfg;
+    cfg.numMacs = 0;
+    expectRejected(cfg, "at least one MAC");
+}
+
+TEST(GrowEngine, ZeroLdnEntriesRejected)
+{
+    GrowConfig cfg;
+    cfg.ldnEntries = 0;
+    expectRejected(cfg, "at least one LDN table entry");
+}
+
+TEST(GrowEngine, ZeroLhsIdEntriesRejected)
+{
+    GrowConfig cfg;
+    cfg.lhsIdEntries = 0;
+    expectRejected(cfg, "at least one LHS ID table entry");
 }
 
 } // namespace
