@@ -83,16 +83,7 @@ BenchContext::BenchContext(int argc, char **argv,
                    ? util::checkedThreadCount(args_.getInt("threads", 1))
                    : std::max(1u, std::thread::hardware_concurrency());
     profile_ = args_.getBool("profile", false);
-    chipCounts_.clear();
-    for (const auto &c : args_.getList("chips", {"1"})) {
-        if (c.empty() || c.find_first_not_of("0123456789") != std::string::npos)
-            fatal("chips= takes positive chip counts, got '" + c + "'");
-        const uint64_t n = std::stoull(c);
-        if (n < 1 || n > scaleout::kMaxChips)
-            fatal("chips= must be in [1, " +
-                  std::to_string(scaleout::kMaxChips) + "], got " + c);
-        chipCounts_.push_back(static_cast<uint32_t>(n));
-    }
+    chipCounts_ = scaleout::parseChipCounts(args_.getList("chips", {"1"}));
     const bool anySharded =
         std::any_of(chipCounts_.begin(), chipCounts_.end(),
                     [](uint32_t n) { return n > 1; });

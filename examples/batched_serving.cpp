@@ -42,8 +42,10 @@
 
 using namespace grow;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     CliArgs args(argc, argv);
     args.requireKnown({"datasets", "scale", "engine", "requests",
@@ -93,8 +95,7 @@ main(int argc, char **argv)
         serve::runVirtualServe(schedule, &executor, config, nullptr);
     for (const serve::RequestRecord &rec : result.records)
         if (rec.status != serve::RequestStatus::Completed)
-            fatal("batched_serving: request " +
-                  std::to_string(rec.request.id) +
+            fatal("request " + std::to_string(rec.request.id) +
                   " failed: " + rec.error);
 
     report::Report rep;
@@ -135,4 +136,12 @@ main(int argc, char **argv)
 
     report::emitReport(rep, format, args.get("out", ""));
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return grow::guardedMain("batched_serving", argc, argv, run);
 }

@@ -89,10 +89,8 @@ fmtFixed(double value, int decimals)
     return buf;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     CliArgs args(argc, argv);
     args.requireKnown({"datasets", "scale", "threads", "cachedir", "model",
@@ -122,6 +120,8 @@ main(int argc, char **argv)
     const int64_t estArg = args.getInt("est", 0);
     if (estArg != 0 && estArg != 1)
         fatal("est must be 0 or 1, got " + std::to_string(estArg));
+    const std::vector<uint32_t> chipCounts =
+        scaleout::parseChipCounts(args.getList("chips", {"1"}));
     const std::string format = args.get("format", "table");
     report::makeSink(format); // reject bad formats before simulating
     driver::SweepDriver pool(static_cast<uint32_t>(threadsArg));
@@ -450,14 +450,6 @@ main(int argc, char **argv)
         // shard plan's cut structure gives the exact halo bytes and
         // costmodel::estimateLinkTraffic the link-time roofline; chip
         // compute scales the analytical single-chip estimate.
-        std::vector<uint32_t> chipCounts;
-        for (const auto &c : args.getList("chips", {"1"})) {
-            if (c.empty() ||
-                c.find_first_not_of("0123456789") != std::string::npos)
-                fatal("chips= takes positive chip counts, got '" + c + "'");
-            chipCounts.push_back(
-                static_cast<uint32_t>(std::stoull(c)));
-        }
         const bool anySharded =
             std::any_of(chipCounts.begin(), chipCounts.end(),
                         [](uint32_t n) { return n > 1; });
@@ -508,4 +500,12 @@ main(int argc, char **argv)
 
     report::emitReport(rep, format, args.get("out", ""));
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return grow::guardedMain("design_space_sweep", argc, argv, run);
 }

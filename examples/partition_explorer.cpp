@@ -60,10 +60,8 @@ makeLayout(const std::string &name, const graph::Graph &g,
     return l;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     CliArgs args(argc, argv);
     args.requireKnown({"dataset", "scale"});
@@ -136,4 +134,12 @@ main(int argc, char **argv)
     }
     t.print();
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return grow::guardedMain("partition_explorer", argc, argv, run);
 }

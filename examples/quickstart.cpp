@@ -19,8 +19,10 @@
 
 using namespace grow;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     CliArgs args(argc, argv);
     args.requireKnown({"dataset", "scale", "functional", "layers"});
@@ -84,4 +86,12 @@ main(int argc, char **argv)
         std::cout << "functional outputs verified against reference "
                      "SpMM.\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return grow::guardedMain("quickstart", argc, argv, run);
 }

@@ -33,14 +33,6 @@
  * products that are ready at issue as run-length entries and keeps a
  * heap only for miss fills (core/mac_scheduler.hpp,
  * BM_MacScheduler*).
- *
- * With GrowConfig::hdnPreloadOverlap the engine issues the next
- * cluster's HDN preload without stalling its control clock: the
- * preload DMA overlaps the previous cluster's tail (window drain +
- * first-row stream fetch) and the control unit joins it only before
- * the first CAM lookup of the new cluster. Off (the default) the
- * engine blocks at the transition, reproducing the golden-locked
- * historical schedules exactly.
  */
 #pragma once
 
@@ -209,12 +201,6 @@ class RowEngine
     Cycle clock_ = 0;
     Cycle maxCompletion_ = 0;
     Cycle durPerProduct_;
-
-    // In-flight HDN preload (hdnPreloadOverlap only): the DMA is
-    // outstanding and the control unit joins it before the first CAM
-    // lookup of the new cluster.
-    Cycle preloadReady_ = 0;
-    bool preloadPending_ = false;
 
     // Sparse stream prefetch totals (extent_ scanned at construction).
     StreamExtent extent_;

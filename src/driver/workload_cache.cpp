@@ -615,7 +615,6 @@ WorkloadCache::snapshot() const
     s.counters = stats_;
     s.entries = mem_.size();
     s.bytes = totalBytes_;
-    s.entryCap = entryCap_;
     s.byteCap = byteCap_;
     return s;
 }
@@ -634,21 +633,6 @@ WorkloadCache::clearMemory()
     mem_.clear();
     lru_.clear();
     totalBytes_ = 0;
-}
-
-void
-WorkloadCache::setMemoryEntryCap(uint64_t max_entries)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    entryCap_ = max_entries;
-    enforceCapLocked();
-}
-
-uint64_t
-WorkloadCache::memoryEntryCap() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return entryCap_;
 }
 
 void
@@ -690,25 +674,16 @@ WorkloadCache::memoryEntries() const
 void
 WorkloadCache::enforceCapLocked()
 {
-    auto evictOldest = [this] {
+    // Evict LRU-first, but always retain the most recently used entry
+    // so one over-budget bundle still runs.
+    if (byteCap_ == 0)
+        return;
+    while (totalBytes_ > byteCap_ && mem_.size() > 1) {
         auto it = mem_.find(lru_.back());
         totalBytes_ -= it->second.bytes;
         mem_.erase(it);
         lru_.pop_back();
-    };
-    if (entryCap_ != 0) {
-        while (mem_.size() > entryCap_) {
-            evictOldest();
-            ++stats_.evictions;
-        }
-    }
-    // Byte budget: evict LRU-first, but always retain the most
-    // recently used entry so one over-budget bundle still runs.
-    if (byteCap_ != 0) {
-        while (totalBytes_ > byteCap_ && mem_.size() > 1) {
-            evictOldest();
-            ++stats_.evictionsByBytes;
-        }
+        ++stats_.evictions;
     }
 }
 

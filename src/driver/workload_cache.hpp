@@ -125,9 +125,7 @@ class WorkloadCache
         uint64_t diskLoads = 0;    ///< served from a valid disk file
         uint64_t diskStores = 0;   ///< files written after a build
         uint64_t diskFailures = 0; ///< unreadable/corrupt files skipped
-        uint64_t evictions = 0;    ///< entries dropped by the entry cap
-        /** Entries dropped by the byte-budget cap (memcap=). */
-        uint64_t evictionsByBytes = 0;
+        uint64_t evictions = 0;    ///< entries dropped by the byte cap
     };
 
     /** In-memory-only cache. */
@@ -173,7 +171,6 @@ class WorkloadCache
         Stats counters;
         uint64_t entries = 0;  ///< bundles currently in memory
         uint64_t bytes = 0;    ///< artefact payload bytes in memory
-        uint64_t entryCap = 0; ///< 0 = unbounded
         uint64_t byteCap = 0;  ///< 0 = unbounded
 
         /** Artefact lookups served without a from-scratch build. */
@@ -189,30 +186,19 @@ class WorkloadCache
     void clearMemory();
 
     /**
-     * Cap the in-memory map at @p max_entries bundles, evicting the
-     * least-recently-used key past the cap (0 = unbounded, the
-     * default). Long-lived serving processes sweep many (dataset, tier,
-     * plan) keys whose bundles are hundreds of MB at scale; the cap
-     * bounds that footprint. Only the memory layer is affected -- the
-     * disk layer keeps every file, so an evicted key reloads from disk
-     * instead of resynthesising. Bundles already handed out stay alive
-     * through their shared_ptr; eviction merely drops the cache's
-     * reference. Shrinking the cap below the current size evicts
-     * immediately.
-     */
-    void setMemoryEntryCap(uint64_t max_entries);
-
-    /** Current in-memory entry cap (0 = unbounded). */
-    uint64_t memoryEntryCap() const;
-
-    /**
      * Cap the in-memory map at @p max_bytes of artefact payload
      * (0 = unbounded, the default), measured by
      * artifactFootprintBytes(). Least-recently-used keys are evicted
      * past the budget, except the most recently inserted/used entry,
      * which is always retained: a single bundle larger than the budget
      * (the out-of-core case) still completes, it just shares with
-     * nothing. Composes with the entry cap -- both are enforced.
+     * nothing. Long-lived serving processes sweep many (dataset, tier,
+     * plan) keys whose bundles are hundreds of MB at scale; the cap
+     * bounds that footprint. Only the memory layer is affected -- the
+     * disk layer keeps every file, so an evicted key reloads from disk
+     * instead of resynthesising. Bundles already handed out stay alive
+     * through their shared_ptr; eviction merely drops the cache's
+     * reference. Shrinking the cap evicts immediately.
      */
     void setMemoryByteCap(uint64_t max_bytes);
 
@@ -253,14 +239,13 @@ class WorkloadCache
     };
 
     std::string pathFor(const ArtifactKey &key) const;
-    /** Evict past the entry and byte caps. Caller holds mu_. */
+    /** Evict past the byte cap. Caller holds mu_. */
     void enforceCapLocked();
 
     mutable std::mutex mu_;
     std::string dir_;
     std::map<ArtifactKey, MemEntry> mem_;
     std::list<ArtifactKey> lru_;
-    uint64_t entryCap_ = 0;
     uint64_t byteCap_ = 0;
     uint64_t totalBytes_ = 0;
     uint32_t buildThreads_ = 1;

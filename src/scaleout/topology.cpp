@@ -26,4 +26,23 @@ EngineTopology::validate() const
         fatal("EngineTopology: link clock must be > 0 GHz");
 }
 
+std::vector<uint32_t>
+parseChipCounts(const std::vector<std::string> &values)
+{
+    if (values.empty())
+        fatal("chips= needs at least one chip count");
+    std::vector<uint32_t> counts;
+    for (const std::string &c : values) {
+        const bool digits =
+            !c.empty() && c.size() <= 9 &&
+            c.find_first_not_of("0123456789") == std::string::npos;
+        const uint64_t n = digits ? std::stoull(c) : 0;
+        if (n < 1 || n > kMaxChips)
+            fatal("chips= takes chip counts in [1, " +
+                  std::to_string(kMaxChips) + "], got '" + c + "'");
+        counts.push_back(static_cast<uint32_t>(n));
+    }
+    return counts;
+}
+
 } // namespace grow::scaleout

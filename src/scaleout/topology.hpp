@@ -16,6 +16,7 @@
 
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "core/grow_config.hpp"
 #include "sim/types.hpp"
@@ -112,5 +113,11 @@ struct EngineTopology
 
 /** Upper bound on chips a topology may request. */
 inline constexpr uint32_t kMaxChips = 64;
+
+/**
+ * Parse the entries of a `chips=` list: each a chip count in
+ * [1, kMaxChips]; fatal() naming the key on anything else.
+ */
+std::vector<uint32_t> parseChipCounts(const std::vector<std::string> &values);
 
 } // namespace grow::scaleout

@@ -51,8 +51,7 @@ AdmissionConfig
 admissionFromArgs(const CliArgs &args)
 {
     AdmissionConfig admission;
-    admission.maxDepth =
-        static_cast<uint32_t>(args.getInt("queue_depth", 64));
+    admission.maxDepth = args.getCount("queue_depth", 64);
     if (args.has("bytebudget"))
         admission.byteBudget =
             parseByteSize("bytebudget", args.get("bytebudget", ""));

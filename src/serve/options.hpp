@@ -36,9 +36,9 @@ ScheduleConfig scheduleFromArgs(const CliArgs &args);
 const std::vector<std::string> &admissionKeys();
 
 /**
- * Build an AdmissionConfig from parsed flags: queue_depth= (default
- * 64), bytebudget= (grow::parseByteSize grammar, default off) and
- * default_deadline_ms= (default 0 = none).
+ * Build an AdmissionConfig from parsed flags: queue_depth= (a count
+ * >= 1, default 64), bytebudget= (grow::parseByteSize grammar,
+ * default off) and default_deadline_ms= (default 0 = none).
  */
 AdmissionConfig admissionFromArgs(const CliArgs &args);
 

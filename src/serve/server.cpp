@@ -17,28 +17,12 @@ namespace grow::serve {
 
 namespace {
 
-/** Poll interval for loops that must notice stop_ without an event. */
-constexpr int kPollMs = 50;
+/** Longest the I/O and dispatch loops go without noticing stop_, and
+ *  the accept backoff after an accept() error. */
+constexpr auto kPollTick = std::chrono::milliseconds(50);
 
-/** Write all of @p line plus a newline; false on a broken pipe. */
-bool
-writeLine(int fd, const std::string &line)
-{
-    std::string framed = line;
-    framed.push_back('\n');
-    size_t off = 0;
-    while (off < framed.size()) {
-        ssize_t n = ::send(fd, framed.data() + off, framed.size() - off,
-                           MSG_NOSIGNAL);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        off += static_cast<size_t>(n);
-    }
-    return true;
-}
+/** Longest request line buffered (newline excluded). */
+constexpr size_t kMaxLineBytes = 64 * 1024;
 
 } // namespace
 
@@ -73,7 +57,9 @@ ServeDaemon::start(std::string *error)
             *error = "socket path too long: " + config_.socketPath;
         return false;
     }
-    listenFd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    // Non-blocking: a connection that vanishes between poll() and
+    // accept() must not stall the I/O thread.
+    listenFd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0);
     if (listenFd_ < 0) {
         if (error)
             *error = std::string("socket(): ") + std::strerror(errno);
@@ -100,7 +86,7 @@ ServeDaemon::start(std::string *error)
         listenFd_ = -1;
         return false;
     }
-    acceptThread_ = std::thread([this] { acceptLoop(); });
+    ioThread_ = std::thread([this] { ioLoop(); });
     dispatchThread_ = std::thread([this] { dispatchLoop(); });
     return true;
 }
@@ -118,26 +104,14 @@ ServeDaemon::requestStop()
 void
 ServeDaemon::wait()
 {
-    if (acceptThread_.joinable())
-        acceptThread_.join();
+    if (ioThread_.joinable())
+        ioThread_.join();
     if (dispatchThread_.joinable())
         dispatchThread_.join();
-    // Drain finished; connection readers exit on stop_ or EOF.
-    std::vector<std::thread> readers;
-    {
-        std::lock_guard<std::mutex> lk(connThreadsMu_);
-        readers.swap(connThreads_);
-    }
-    for (std::thread &t : readers)
-        t.join();
+    // Drain finished and every writer is gone: close what is left.
     std::lock_guard<std::mutex> lk(mu_);
-    for (auto &[ticket, conn] : conns_) {
-        (void)ticket;
-        if (conn->fd >= 0) {
-            ::close(conn->fd);
-            conn->fd = -1;
-        }
-    }
+    for (const auto &entry : conns_)
+        ::close(entry.second->fd);
     conns_.clear();
     if (listenFd_ >= 0) {
         ::close(listenFd_);
@@ -154,144 +128,188 @@ ServeDaemon::records() const
 }
 
 void
-ServeDaemon::acceptLoop()
+ServeDaemon::ioLoop()
 {
+    std::vector<pollfd> fds;
+    std::vector<std::shared_ptr<Conn>> polled;
+    auto acceptAt = std::chrono::steady_clock::now();
     while (!stop_.load(std::memory_order_acquire)) {
-        pollfd pfd{listenFd_, POLLIN, 0};
-        int rc = ::poll(&pfd, 1, kPollMs);
-        if (rc < 0) {
-            if (errno == EINTR)
-                continue;
-            logError(std::string("serve: poll(): ") +
-                     std::strerror(errno));
-            break;
-        }
-        if (rc == 0 || !(pfd.revents & POLLIN))
-            continue;
-        int fd = ::accept(listenFd_, nullptr, nullptr);
-        if (fd < 0) {
-            if (errno == EINTR || errno == ECONNABORTED)
-                continue;
-            logError(std::string("serve: accept(): ") +
-                     std::strerror(errno));
-            break;
-        }
-        auto conn = std::make_shared<Conn>();
-        conn->fd = fd;
-        uint64_t ticket;
+        // poll() ignores a negative fd: that is the accept backoff.
+        const bool accepting = std::chrono::steady_clock::now() >= acceptAt;
+        fds.assign(1, pollfd{accepting ? listenFd_ : -1, POLLIN, 0});
+        polled.clear();
         {
             std::lock_guard<std::mutex> lk(mu_);
-            ticket = nextTicket_++;
-            conns_[ticket] = conn;
+            for (const auto &entry : conns_) {
+                fds.push_back(pollfd{entry.second->fd, POLLIN, 0});
+                polled.push_back(entry.second);
+            }
         }
-        // The ticket travels on every request from this connection so
-        // responses route back to the right socket.
-        std::lock_guard<std::mutex> lk(connThreadsMu_);
-        connThreads_.emplace_back([this, conn, ticket]() mutable {
-            connectionLoop(std::move(conn), ticket);
-        });
+        const int rc = ::poll(fds.data(), fds.size(),
+                              static_cast<int>(kPollTick.count()));
+        if (rc < 0) {
+            if (errno != EINTR) {
+                logError(std::string("serve: poll(): ") +
+                         std::strerror(errno));
+                std::this_thread::sleep_for(kPollTick);
+            }
+            continue;
+        }
+        if (fds[0].revents & POLLIN) {
+            const int fd = ::accept(listenFd_, nullptr, nullptr);
+            if (fd >= 0) {
+                auto conn = std::make_shared<Conn>();
+                conn->fd = fd;
+                std::lock_guard<std::mutex> lk(mu_);
+                conn->ticket = nextTicket_++;
+                conns_[conn->ticket] = std::move(conn);
+            } else if (errno != EINTR && errno != EAGAIN &&
+                       errno != ECONNABORTED) {
+                // EMFILE and friends: keep serving the open
+                // connections and retry after one tick.
+                logError(std::string("serve: accept(): ") +
+                         std::strerror(errno));
+                acceptAt = std::chrono::steady_clock::now() + kPollTick;
+            }
+        }
+        for (size_t i = 0; i < polled.size(); ++i) {
+            Conn &conn = *polled[i];
+            if (conn.dead.load(std::memory_order_acquire) ||
+                (fds[i + 1].revents && !readConnection(conn)))
+                closeConnection(conn);
+        }
     }
 }
 
-void
-ServeDaemon::connectionLoop(std::shared_ptr<Conn> conn, uint64_t myTicket)
+bool
+ServeDaemon::readConnection(Conn &conn)
 {
-    std::string buffer;
-    char chunk[4096];
-    bool eof = false;
-    while (!eof && !stop_.load(std::memory_order_acquire)) {
-        pollfd pfd{conn->fd, POLLIN, 0};
-        int rc = ::poll(&pfd, 1, kPollMs);
-        if (rc < 0) {
-            if (errno == EINTR)
-                continue;
-            break;
+    char chunk[16 * 1024];
+    const ssize_t n = ::recv(conn.fd, chunk, sizeof(chunk), MSG_DONTWAIT);
+    if (n < 0)
+        return errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK;
+    if (n == 0)
+        return false; // client gone; late responses are skipped
+    // Only the new bytes can hold a newline: the inbox never keeps one.
+    size_t begin = 0;
+    size_t nl = conn.inbox.size();
+    conn.inbox.append(chunk, static_cast<size_t>(n));
+    for (;;) {
+        nl = conn.inbox.find('\n', nl);
+        const size_t end = nl == std::string::npos ? conn.inbox.size() : nl;
+        if (end - begin > kMaxLineBytes) {
+            protocolError(conn, "line longer than " +
+                                    std::to_string(kMaxLineBytes) +
+                                    " bytes");
+            return false;
         }
-        if (rc == 0 || !(pfd.revents & (POLLIN | POLLHUP)))
-            continue;
-        ssize_t n = ::recv(conn->fd, chunk, sizeof(chunk), 0);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
+        if (nl == std::string::npos)
             break;
-        }
-        if (n == 0) {
-            eof = true;
-            break;
-        }
-        buffer.append(chunk, static_cast<size_t>(n));
-        size_t nl;
-        while ((nl = buffer.find('\n')) != std::string::npos) {
-            std::string line = buffer.substr(0, nl);
-            buffer.erase(0, nl + 1);
-            if (line.empty())
-                continue;
+        const std::string line = conn.inbox.substr(begin, nl - begin);
+        begin = ++nl;
+        if (!line.empty())
+            handleLine(conn, line);
+        if (conn.dead.load(std::memory_order_acquire))
+            return false;
+    }
+    conn.inbox.erase(0, begin);
+    return true;
+}
 
-            ClientLine parsed;
-            std::string error;
-            if (!parseClientLine(line, parsed, &error)) {
-                metrics_.recordProtocolError();
-                RequestRecord rec;
-                rec.status = RequestStatus::Error;
-                rec.error = "protocol: " + error;
-                std::lock_guard<std::mutex> wl(conn->writeMu);
-                writeLine(conn->fd, encodeResponse(rec));
-                continue;
-            }
-            if (parsed.kind == ClientLine::Kind::Ping) {
-                std::lock_guard<std::mutex> wl(conn->writeMu);
-                writeLine(conn->fd, "{\"cmd\":\"pong\"}");
-                continue;
-            }
-            if (parsed.kind == ClientLine::Kind::Shutdown) {
-                {
-                    std::lock_guard<std::mutex> wl(conn->writeMu);
-                    writeLine(conn->fd, "{\"cmd\":\"shutdown_ack\"}");
-                }
-                requestStop();
-                continue;
-            }
-
-            ServeRequest req = parsed.request;
-            req.ticket = myTicket;
-            std::string verror;
-            if (!executor_.validate(req, &verror)) {
-                RequestRecord rec;
-                rec.request = std::move(req);
-                rec.request.arrivalUs = now();
-                rec.completionUs = rec.request.arrivalUs;
-                rec.status = RequestStatus::Error;
-                rec.error = verror;
-                respond(rec);
-                finishRecord(std::move(rec));
-                continue;
-            }
-            const Micros arrival = now();
-            const Admission verdict = queue_.push(req, arrival);
-            metrics_.recordAdmission(verdict, queue_.depth(), arrival);
-            if (verdict != Admission::Admitted) {
-                RequestRecord rec;
-                rec.request = std::move(req);
-                rec.request.arrivalUs = arrival;
-                rec.completionUs = arrival;
-                rec.status = rejectionStatus(verdict);
-                respond(rec);
-                finishRecord(std::move(rec));
-                continue;
-            }
-            cv_.notify_one();
-        }
+void
+ServeDaemon::handleLine(Conn &conn, const std::string &line)
+{
+    ClientLine parsed;
+    std::string error;
+    if (!parseClientLine(line, parsed, &error)) {
+        protocolError(conn, error);
+        return;
+    }
+    if (parsed.kind == ClientLine::Kind::Ping) {
+        sendLine(conn, "{\"cmd\":\"pong\"}");
+        return;
+    }
+    if (parsed.kind == ClientLine::Kind::Shutdown) {
+        sendLine(conn, "{\"cmd\":\"shutdown_ack\"}");
+        requestStop();
+        return;
     }
 
-    if (eof) {
-        // Client gone: drop the route so late responses are skipped.
+    ServeRequest req = parsed.request;
+    req.ticket = conn.ticket;
+    std::string verror;
+    if (!executor_.validate(req, &verror)) {
+        RequestRecord rec;
+        rec.request = std::move(req);
+        rec.request.arrivalUs = now();
+        rec.completionUs = rec.request.arrivalUs;
+        rec.status = RequestStatus::Error;
+        rec.error = verror;
+        respond(rec);
+        finishRecord(std::move(rec));
+        return;
+    }
+    const Micros arrival = now();
+    const Admission verdict = queue_.push(req, arrival);
+    metrics_.recordAdmission(verdict, queue_.depth(), arrival);
+    if (verdict != Admission::Admitted) {
+        RequestRecord rec;
+        rec.request = std::move(req);
+        rec.request.arrivalUs = arrival;
+        rec.completionUs = arrival;
+        rec.status = rejectionStatus(verdict);
+        respond(rec);
+        finishRecord(std::move(rec));
+        return;
+    }
+    cv_.notify_one();
+}
+
+void
+ServeDaemon::protocolError(Conn &conn, const std::string &error)
+{
+    metrics_.recordProtocolError();
+    RequestRecord rec;
+    rec.status = RequestStatus::Error;
+    rec.error = "protocol: " + error;
+    sendLine(conn, encodeResponse(rec));
+}
+
+void
+ServeDaemon::closeConnection(Conn &conn)
+{
+    {
         std::lock_guard<std::mutex> lk(mu_);
-        auto it = conns_.find(myTicket);
-        if (it != conns_.end()) {
-            std::lock_guard<std::mutex> wl(it->second->writeMu);
-            ::close(it->second->fd);
-            it->second->fd = -1;
-            conns_.erase(it);
+        conns_.erase(conn.ticket);
+    }
+    // A writer that looked the connection up before the erase may
+    // still hold it: close under its lock and mark it dead.
+    std::lock_guard<std::mutex> wl(conn.writeMu);
+    conn.dead.store(true, std::memory_order_release);
+    ::close(conn.fd);
+    conn.fd = -1;
+}
+
+void
+ServeDaemon::sendLine(Conn &conn, const std::string &line)
+{
+    std::string framed = line;
+    framed.push_back('\n');
+    std::lock_guard<std::mutex> wl(conn.writeMu);
+    size_t off = 0;
+    while (!conn.dead.load(std::memory_order_relaxed) &&
+           off < framed.size()) {
+        const ssize_t n =
+            ::send(conn.fd, framed.data() + off, framed.size() - off,
+                   MSG_NOSIGNAL | MSG_DONTWAIT);
+        if (n >= 0) {
+            off += static_cast<size_t>(n);
+        } else if (errno != EINTR) {
+            // Full socket buffer (a client that does not read) or a
+            // broken pipe: never block the caller. The hangup wakes
+            // the I/O thread, which closes the fd.
+            conn.dead.store(true, std::memory_order_release);
+            ::shutdown(conn.fd, SHUT_RDWR);
         }
     }
 }
@@ -302,7 +320,7 @@ ServeDaemon::dispatchLoop()
     for (;;) {
         {
             std::unique_lock<std::mutex> lk(mu_);
-            cv_.wait_for(lk, std::chrono::milliseconds(kPollMs), [this] {
+            cv_.wait_for(lk, kPollTick, [this] {
                 return stop_.load(std::memory_order_acquire) ||
                        (queue_.depth() > 0 &&
                         inflight_ < config_.maxInflight);
@@ -381,11 +399,8 @@ ServeDaemon::respond(const RequestRecord &record)
         if (it != conns_.end())
             conn = it->second;
     }
-    if (!conn)
-        return; // client disconnected; outcome still recorded
-    std::lock_guard<std::mutex> wl(conn->writeMu);
-    if (conn->fd >= 0)
-        writeLine(conn->fd, encodeResponse(record));
+    if (conn) // else the client disconnected; outcome still recorded
+        sendLine(*conn, encodeResponse(record));
 }
 
 void

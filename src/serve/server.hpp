@@ -5,8 +5,10 @@
  *
  * Wire protocol (serve/protocol.hpp): line-delimited JSON, one request
  * or command object per line, one response object per resolved
- * request. Every connection is read by its own thread; parsed requests
- * are validated (non-fatally -- a malformed or unknown request gets an
+ * request. One I/O thread polls the listening socket and every open
+ * connection: it accepts, reads each connection into its own buffer
+ * and hands every complete line to handleLine(). Parsed requests are
+ * validated (non-fatally -- a malformed or unknown request gets an
  * error response, never a dead daemon), costed, and pushed through the
  * bounded multi-tenant RequestQueue. Admission failures (queue depth,
  * in-flight byte budget, shutdown) are answered immediately with a
@@ -14,15 +16,23 @@
  *
  * A single dispatcher thread pops admitted requests in fair-share
  * order and hands execution to the process-wide util::WorkPool via
- * trySubmit(); when the pool has no workers (single-core hosts,
- * shutdown) the dispatcher runs the job inline. In-flight concurrency
- * is bounded by maxInflight. Deadline-expired requests are cancelled
- * at dispatch time and answered with status "expired".
+ * trySubmit(); when the pool has no workers or is stopping, the
+ * dispatcher runs the job inline. In-flight concurrency is bounded by
+ * maxInflight. Deadline-expired requests are cancelled at dispatch
+ * time and answered with status "expired".
+ *
+ * Limits on hostile clients are constants (server.cpp), not knobs:
+ * every response goes through sendLine(), which never blocks -- a
+ * client whose socket buffer is full or broken is shut down, and the
+ * I/O thread, the only closer of a connection fd, then closes it; a
+ * line over 64 KiB gets a protocol error and a close; a failed
+ * accept() (e.g. EMFILE) pauses accepting for one poll tick.
  *
  * Graceful shutdown (protocol `{"cmd":"shutdown"}` or requestStop()):
- * the queue closes (new pushes answered rejected_shutdown), the
- * dispatcher drains everything already admitted, in-flight executions
- * finish, responses flush, then the listener stops. The daemon's
+ * the queue closes (new pushes answered rejected_shutdown), the I/O
+ * thread stops accepting and reading, the dispatcher drains everything
+ * already admitted, in-flight executions finish and respond, then
+ * wait() closes the connections and the listener. The daemon's
  * RequestRecord log and ServeMetrics survive shutdown so main() can
  * emit reports and digest lines afterwards.
  */
@@ -70,12 +80,11 @@ class ServeDaemon
     ServeDaemon(const ServeDaemon &) = delete;
     ServeDaemon &operator=(const ServeDaemon &) = delete;
 
-    /** Bind + listen + spawn accept/dispatch threads. False (with
-     *  @p error) when the socket cannot be bound. */
+    /** Bind + listen + spawn the I/O and dispatch threads. False
+     *  (with @p error) when the socket cannot be bound. */
     bool start(std::string *error);
 
-    /** Begin graceful shutdown (idempotent, safe from signals' wake
-     *  path and from connection threads). */
+    /** Begin graceful shutdown (idempotent, safe from any thread). */
     void requestStop();
 
     /** Block until the daemon has fully drained and stopped. */
@@ -91,11 +100,20 @@ class ServeDaemon
     struct Conn
     {
         int fd = -1;
-        std::mutex writeMu;
+        uint64_t ticket = 0; ///< routes responses back to this socket
+        std::mutex writeMu;  ///< serialises sendLine(); guards fd
+        /** A send failed or the fd is closed: drop further output. */
+        std::atomic<bool> dead{false};
+        std::string inbox; ///< I/O thread only: the partial next line
     };
 
-    void acceptLoop();
-    void connectionLoop(std::shared_ptr<Conn> conn, uint64_t myTicket);
+    void ioLoop();
+    /** Read and handle @p conn's lines; false: close it. */
+    bool readConnection(Conn &conn);
+    void handleLine(Conn &conn, const std::string &line);
+    void protocolError(Conn &conn, const std::string &error);
+    void closeConnection(Conn &conn);
+    void sendLine(Conn &conn, const std::string &line);
     void dispatchLoop();
     void execute(ServeRequest req);
     void respond(const RequestRecord &record);
@@ -115,13 +133,13 @@ class ServeDaemon
     std::condition_variable cv_; ///< dispatcher wake: work or stop
     uint32_t inflight_ = 0;
     uint64_t nextTicket_ = 1;
+    /** Open connections by ticket; only the I/O thread (and a joined
+     *  wait()) adds or erases. */
     std::map<uint64_t, std::shared_ptr<Conn>> conns_;
     std::vector<RequestRecord> records_;
 
-    std::thread acceptThread_;
+    std::thread ioThread_;
     std::thread dispatchThread_;
-    std::vector<std::thread> connThreads_;
-    std::mutex connThreadsMu_;
 };
 
 } // namespace grow::serve

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <exception>
+#include <iostream>
 
 #include "util/logging.hpp"
 #include "util/string_util.hpp"
@@ -44,6 +46,15 @@ CliArgs::getInt(const std::string &key, int64_t def) const
     if (it == kv_.end())
         return def;
     return std::strtoll(it->second.c_str(), nullptr, 10);
+}
+
+uint32_t
+CliArgs::getCount(const std::string &key, uint32_t def) const
+{
+    const int64_t v = getInt(key, def);
+    if (v < 1 || v > static_cast<int64_t>(UINT32_MAX))
+        fatal(key + " must be a count >= 1, got '" + get(key, "") + "'");
+    return static_cast<uint32_t>(v);
 }
 
 double
@@ -152,6 +163,18 @@ CliArgs::getList(const std::string &key,
         if (!trim(piece).empty())
             out.push_back(trim(piece));
     return out;
+}
+
+int
+guardedMain(const char *name, int argc, char **argv,
+            int (*body)(int, char **), int failure_code)
+{
+    try {
+        return body(argc, argv);
+    } catch (const std::exception &e) {
+        std::cerr << name << ": " << e.what() << "\n";
+        return failure_code;
+    }
 }
 
 } // namespace grow

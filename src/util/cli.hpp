@@ -35,6 +35,10 @@ class CliArgs
     /** Integer option with default. */
     int64_t getInt(const std::string &key, int64_t def) const;
 
+    /** Count option (>= 1) with default; fatal() naming @p key on 0,
+     *  a negative value or one past UINT32_MAX. */
+    uint32_t getCount(const std::string &key, uint32_t def) const;
+
     /** Double option with default. */
     double getDouble(const std::string &key, double def) const;
 
@@ -75,5 +79,13 @@ class CliArgs
  * one grammar behind every byte-budget flag (`memcap=`, `bytebudget=`).
  */
 uint64_t parseByteSize(const std::string &key, const std::string &value);
+
+/**
+ * Run a tool or example main @p body; an escaping exception (fatal(),
+ * panic()) becomes one `<name>: <what>` line on stderr and exit code
+ * @p failure_code instead of std::terminate's abort.
+ */
+int guardedMain(const char *name, int argc, char **argv,
+                int (*body)(int, char **), int failure_code = 1);
 
 } // namespace grow

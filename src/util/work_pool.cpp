@@ -379,13 +379,6 @@ WorkPool::trySubmit(std::function<void()> task)
     return true;
 }
 
-uint32_t
-WorkPool::idleWorkers() const
-{
-    std::lock_guard<std::mutex> lk(impl_->m);
-    return static_cast<uint32_t>(impl_->idle.size());
-}
-
 uint64_t
 WorkPool::detachedPending() const
 {

@@ -140,13 +140,6 @@ class WorkPool
      */
     bool trySubmit(std::function<void()> task);
 
-    /**
-     * Workers currently parked with nothing to do -- an O(1) capacity
-     * hint for admission control (a racy snapshot, not a reservation:
-     * the value may be stale by the time the caller acts on it).
-     */
-    uint32_t idleWorkers() const;
-
     /** Detached tasks submitted but not yet finished. */
     uint64_t detachedPending() const;
 

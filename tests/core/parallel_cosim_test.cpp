@@ -189,78 +189,6 @@ TEST(ParallelCosim, EpochModeFunctionalOutputMatchesReference)
     EXPECT_LT(sparse::DenseMatrix::maxAbsDiff(golden, r.output), 1e-12);
 }
 
-TEST(ParallelCosim, PreloadOverlapIsBitIdenticalAcrossThreadCounts)
-{
-    // hdnPreloadOverlap changes *when* HDN preload DMA traffic enters
-    // the memory system, so it must hold the same determinism contract
-    // as the baseline schedule: epoch-mode results may not depend on
-    // the worker count.
-    auto cp = makeClusteredProblem(900, 8, 32);
-    auto p = problemFor(cp, 32);
-    GrowConfig cfg;
-    cfg.numPes = 4;
-    cfg.hdnPreloadOverlap = true;
-
-    accel::SimOptions base;
-    base.epochCycles = 256;
-
-    accel::SimOptions t1 = base;
-    t1.threads = 1;
-    auto r1 = GrowSim(cfg).run(p, t1);
-
-    for (uint32_t threads : {2u, 8u}) {
-        accel::SimOptions tn = base;
-        tn.threads = threads;
-        auto rn = GrowSim(cfg).run(p, tn);
-        expectBitIdentical(r1, rn,
-                           "overlap threads=" + std::to_string(threads));
-    }
-}
-
-TEST(ParallelCosim, PreloadOverlapOnlyHidesLatencyNeverChangesWork)
-{
-    // Overlapping the next cluster's HDN preload with the current
-    // cluster's tail hides DMA latency. The arithmetic work and every
-    // schedule-independent traffic class must be unchanged; DenseRow
-    // traffic may drift marginally because the LDN table's
-    // share-the-fill window is clock-relative (an earlier clock sees a
-    // different set of in-flight fills), and the schedule may only get
-    // faster.
-    auto cp = makeClusteredProblem(900, 8, 32);
-    auto p = problemFor(cp, 32);
-    GrowConfig blockingCfg;
-    blockingCfg.numPes = 4;
-    GrowConfig overlapCfg = blockingCfg;
-    overlapCfg.hdnPreloadOverlap = true;
-
-    auto blocking = GrowSim(blockingCfg).run(p, accel::SimOptions{});
-    auto overlap = GrowSim(overlapCfg).run(p, accel::SimOptions{});
-
-    EXPECT_LE(overlap.cycles, blocking.cycles);
-    EXPECT_EQ(blocking.macOps, overlap.macOps);
-    EXPECT_EQ(blocking.cacheHits, overlap.cacheHits);
-    EXPECT_EQ(blocking.cacheMisses, overlap.cacheMisses);
-    EXPECT_EQ(blocking.effectualSparseBytes,
-              overlap.effectualSparseBytes);
-    EXPECT_EQ(blocking.fetchedSparseBytes, overlap.fetchedSparseBytes);
-    for (size_t i = 0; i < mem::kNumTrafficClasses; ++i) {
-        SCOPED_TRACE(i);
-        const auto cls = static_cast<mem::TrafficClass>(i);
-        if (cls == mem::TrafficClass::DenseRow) {
-            const double b =
-                static_cast<double>(blocking.traffic.readBytes[i]);
-            const double o =
-                static_cast<double>(overlap.traffic.readBytes[i]);
-            EXPECT_NEAR(o / b, 1.0, 0.01);
-        } else {
-            EXPECT_EQ(blocking.traffic.readBytes[i],
-                      overlap.traffic.readBytes[i]);
-        }
-        EXPECT_EQ(blocking.traffic.writeBytes[i],
-                  overlap.traffic.writeBytes[i]);
-    }
-}
-
 TEST(ParallelCosim, EpochModeWorksOnTheBankedDramModel)
 {
     auto cp = makeClusteredProblem(500, 4, 16);

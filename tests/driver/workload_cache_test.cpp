@@ -449,44 +449,34 @@ TEST(WorkloadCache, FingerprintDistinguishesKeys)
     EXPECT_TRUE(base < tiny || tiny < base);
 }
 
-TEST(WorkloadCache, LruEntryCapEvictsLeastRecentlyUsed)
+TEST(WorkloadCache, EvictedBundleStaysAliveForItsHolder)
 {
+    // A one-byte cap keeps only the newest bundle in memory.
     WorkloadCache cache;
-    EXPECT_EQ(cache.memoryEntryCap(), 0u); // unbounded by default
-    cache.setMemoryEntryCap(2);
+    cache.setMemoryByteCap(1);
     const auto &cora = graph::datasetByName("cora");
     const auto &cite = graph::datasetByName("citeseer");
 
     auto a = cache.artifacts(cora, graph::ScaleTier::Unit, {});
-    auto b = cache.artifacts(cite, graph::ScaleTier::Unit, {});
-    EXPECT_EQ(cache.memoryEntries(), 2u);
-    EXPECT_EQ(cache.stats().evictions, 0u);
-
-    // Touch cora so citeseer becomes least recently used, then insert
-    // a third key: citeseer must be the one evicted.
-    cache.artifacts(cora, graph::ScaleTier::Unit, {});
-    gcn::PartitionPlan smaller;
-    smaller.targetClusterSize = 128;
-    cache.artifacts(cora, graph::ScaleTier::Unit, smaller);
-    EXPECT_EQ(cache.memoryEntries(), 2u);
+    cache.artifacts(cite, graph::ScaleTier::Unit, {}); // evicts cora
+    EXPECT_EQ(cache.memoryEntries(), 1u);
     EXPECT_EQ(cache.stats().evictions, 1u);
 
-    // cora stayed resident (memory hit); citeseer rebuilds from
-    // scratch -- there is no disk layer -- into a fresh instance, while
-    // the evicted bundle stays alive through the caller's shared_ptr.
-    cache.artifacts(cora, graph::ScaleTier::Unit, {});
+    // cora rebuilds from scratch -- there is no disk layer -- into a
+    // fresh instance, while the evicted bundle stays alive through the
+    // caller's shared_ptr.
     const uint64_t buildsBefore = cache.stats().builds;
-    auto b2 = cache.artifacts(cite, graph::ScaleTier::Unit, {});
+    auto a2 = cache.artifacts(cora, graph::ScaleTier::Unit, {});
     EXPECT_EQ(cache.stats().builds, buildsBefore + 1);
-    EXPECT_NE(b.get(), b2.get());
-    expectArtifactsIdentical(*b, *b2);
+    EXPECT_NE(a.get(), a2.get());
+    expectArtifactsIdentical(*a, *a2);
 }
 
 TEST(WorkloadCache, EvictedKeyReloadsFromDiskInsteadOfRebuilding)
 {
     const std::string dir = scratchDir("evict_disk");
     WorkloadCache cache(dir);
-    cache.setMemoryEntryCap(1);
+    cache.setMemoryByteCap(1);
     const auto &cora = graph::datasetByName("cora");
     const auto &cite = graph::datasetByName("citeseer");
 
@@ -502,28 +492,6 @@ TEST(WorkloadCache, EvictedKeyReloadsFromDiskInsteadOfRebuilding)
     EXPECT_EQ(cache.stats().diskLoads, 1u);
     expectArtifactsIdentical(*a, *a2);
     fs::remove_all(dir);
-}
-
-TEST(WorkloadCache, ShrinkingCapEvictsImmediately)
-{
-    WorkloadCache cache;
-    const auto &spec = graph::datasetByName("cora");
-    cache.artifacts(spec, graph::ScaleTier::Unit, {});
-    gcn::PartitionPlan p1, p2;
-    p1.targetClusterSize = 128;
-    p2.targetClusterSize = 256;
-    cache.artifacts(spec, graph::ScaleTier::Unit, p1);
-    auto newest = cache.artifacts(spec, graph::ScaleTier::Unit, p2);
-    EXPECT_EQ(cache.memoryEntries(), 3u);
-
-    cache.setMemoryEntryCap(1);
-    EXPECT_EQ(cache.memoryEntries(), 1u);
-    EXPECT_EQ(cache.stats().evictions, 2u);
-    // The survivor is the most recently used key.
-    const uint64_t hitsBefore = cache.stats().memoryHits;
-    auto again = cache.artifacts(spec, graph::ScaleTier::Unit, p2);
-    EXPECT_EQ(cache.stats().memoryHits, hitsBefore + 1);
-    EXPECT_EQ(newest.get(), again.get());
 }
 
 TEST(WorkloadCache, ByteCapEvictsByFootprintButKeepsNewest)
@@ -542,12 +510,12 @@ TEST(WorkloadCache, ByteCapEvictsByFootprintButKeepsNewest)
     // an over-budget graph must run, it just shares with nothing.
     cache.setMemoryByteCap(oneBundle / 2);
     EXPECT_EQ(cache.memoryEntries(), 1u);
-    EXPECT_EQ(cache.stats().evictionsByBytes, 0u);
+    EXPECT_EQ(cache.stats().evictions, 0u);
 
     // A second key pushes the older one out by bytes.
     auto b = cache.artifacts(cite, graph::ScaleTier::Unit, {});
     EXPECT_EQ(cache.memoryEntries(), 1u);
-    EXPECT_EQ(cache.stats().evictionsByBytes, 1u);
+    EXPECT_EQ(cache.stats().evictions, 1u);
     EXPECT_EQ(cache.memoryBytes(), artifactFootprintBytes(*b));
 
     // A budget that holds both keeps both.
@@ -695,7 +663,6 @@ TEST(WorkloadCache, SnapshotIsCoherentAndCountsReuses)
     EXPECT_EQ(snap.reuses(), 1u);
     EXPECT_EQ(snap.entries, 2u);
     EXPECT_GT(snap.bytes, 0u);
-    EXPECT_EQ(snap.entryCap, 0u);
     EXPECT_EQ(snap.byteCap, 0u);
 }
 

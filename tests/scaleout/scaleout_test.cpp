@@ -260,6 +260,24 @@ TEST(Scaleout, NonPartitioningEngineRejectsSharding)
     EXPECT_THROW(driver::engineForTopology(topo), std::runtime_error);
 }
 
+TEST(Scaleout, ChipListParsingRejectsOutOfRangeCountsNamingTheKey)
+{
+    EXPECT_EQ(parseChipCounts({"1", "4", "64"}),
+              (std::vector<uint32_t>{1, 4, 64}));
+    for (const std::vector<std::string> bad :
+         {std::vector<std::string>{"0", "2"}, {"65"}, {"-1"}, {"two"},
+          {"99999999999999999999"}, {}}) {
+        try {
+            parseChipCounts(bad);
+            ADD_FAILURE() << "accepted " << bad.size() << " entries";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find("chips="),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 TEST(Scaleout, TopologyValidationRejectsNonsense)
 {
     EXPECT_THROW(EngineTopology("grow").withChips(0).validate(),

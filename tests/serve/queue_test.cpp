@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include "serve/options.hpp"
 #include "serve/queue.hpp"
 
 namespace grow::serve {
@@ -20,6 +21,21 @@ makeRequest(uint64_t id, const std::string &tenant, uint64_t costBytes = 0)
     r.dataset = "cora";
     r.costBytes = costBytes;
     return r;
+}
+
+TEST(AdmissionFlags, ZeroQueueDepthIsRejectedAtParseNamingTheKey)
+{
+    char prog[] = "grow_serve", depth[] = "queue_depth=0";
+    char *argv[] = {prog, depth};
+    const CliArgs args(2, argv);
+    try {
+        admissionFromArgs(args);
+        FAIL() << "queue_depth=0 accepted";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("queue_depth"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(RequestQueue, RejectsPastMaxDepth)

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "util/cli.hpp"
+#include "util/logging.hpp"
 
 namespace grow {
 namespace {
@@ -69,6 +70,48 @@ TEST(CliArgs, RejectsBadBoolean)
 {
     auto args = makeArgs({"b=maybe"});
     EXPECT_ANY_THROW(args.getBool("b", false));
+}
+
+/** The message of the exception @p fn throws ("" when it returns). */
+template <typename Fn>
+std::string
+thrownMessage(Fn &&fn)
+{
+    try {
+        fn();
+    } catch (const std::exception &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(CliArgs, GetCountRejectsNonPositiveAndOverflowNamingTheKey)
+{
+    auto args = makeArgs({"slots=0", "inflight=-1",
+                          "queue_depth=4294967296", "n=3"});
+    EXPECT_EQ(args.getCount("n", 1), 3u);
+    EXPECT_EQ(args.getCount("absent", 2), 2u);
+    for (const std::string key : {"slots", "inflight", "queue_depth"})
+        EXPECT_NE(thrownMessage([&] { args.getCount(key, 1); })
+                      .find(key + " must be a count >= 1"),
+                  std::string::npos)
+            << key;
+}
+
+TEST(GuardedMain, ReportsAnEscapingErrorAndReturnsTheFailureCode)
+{
+    auto ok = [](int, char **) { return 3; };
+    auto failing = [](int, char **) -> int {
+        fatal("threads must be >= 1, got -3");
+    };
+    EXPECT_EQ(guardedMain("tool", 0, nullptr, ok), 3);
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(guardedMain("tool", 0, nullptr, failing), 1);
+    EXPECT_EQ(guardedMain("tool", 0, nullptr, failing, 2), 2);
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("tool: fatal: threads must be >= 1"),
+              std::string::npos)
+        << err;
 }
 
 TEST(CliArgs, RequireKnownRejectsTyposWithAcceptedKeyList)

@@ -81,10 +81,8 @@ resolveDatasets(const std::vector<std::string> &names)
     return specs;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     using namespace grow;
 
@@ -105,6 +103,10 @@ main(int argc, char **argv)
 
     const serve::AdmissionConfig admission =
         serve::admissionFromArgs(args);
+    const uint32_t slots = args.getCount("slots", 1);
+    const uint32_t inflight = args.getCount("inflight", 2);
+    const uint32_t threads =
+        util::checkedThreadCount(args.getInt("threads", 1));
 
     driver::WorkloadCache cache(args.get("cachedir", ""));
     if (args.has("memcap"))
@@ -113,8 +115,6 @@ main(int argc, char **argv)
 
     const auto specs = resolveDatasets(args.getList(
         "datasets", {mode == "sim" ? "cora" : "all"}));
-    const uint32_t threads =
-        static_cast<uint32_t>(args.getInt("threads", 1));
     serve::Executor executor(cache, specs, threads);
     serve::ServeMetrics metrics;
 
@@ -132,7 +132,7 @@ main(int argc, char **argv)
             serve::buildSchedule(serve::scheduleFromArgs(args));
         serve::VirtualServeConfig config;
         config.admission = admission;
-        config.slots = static_cast<uint32_t>(args.getInt("slots", 1));
+        config.slots = slots;
         serve::VirtualServeResult result =
             serve::runVirtualServe(schedule, &executor, config, &metrics);
         records = std::move(result.records);
@@ -144,13 +144,12 @@ main(int argc, char **argv)
         serve::ServerConfig config;
         config.socketPath = args.get("socket", "grow_serve.sock");
         config.admission = admission;
-        config.maxInflight =
-            static_cast<uint32_t>(args.getInt("inflight", 2));
+        config.maxInflight = inflight;
         config.pool = &util::WorkPool::shared();
         serve::ServeDaemon daemon(executor, config, metrics);
         std::string error;
         if (!daemon.start(&error))
-            fatal("grow_serve: " + error);
+            fatal(error);
         logInfo("grow_serve: listening on " + config.socketPath);
 
         std::signal(SIGINT, onSignal);
@@ -173,4 +172,12 @@ main(int argc, char **argv)
         serve_tool::writeDigestRecords(args.get("records_out", ""),
                                        records);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return grow::guardedMain("grow_serve", argc, argv, run);
 }

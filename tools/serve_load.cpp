@@ -58,6 +58,7 @@
 #include "serve_common.hpp"
 #include "util/cli.hpp"
 #include "util/logging.hpp"
+#include "util/work_pool.hpp"
 
 namespace {
 
@@ -149,10 +150,8 @@ isControlLine(const std::string &line)
     return line.find("\"cmd\"") != std::string::npos;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     CliArgs args(argc, argv);
     std::vector<std::string> known = {
@@ -167,6 +166,8 @@ main(int argc, char **argv)
     if (mode != "closed" && mode != "open" && mode != "direct")
         fatal("mode must be closed, open or direct, got '" + mode + "'");
 
+    const uint32_t threads =
+        util::checkedThreadCount(args.getInt("threads", 1));
     const serve::ScheduleConfig scheduleConfig =
         serve::scheduleFromArgs(args);
     const auto schedule = serve::buildSchedule(scheduleConfig);
@@ -183,9 +184,7 @@ main(int argc, char **argv)
         std::vector<graph::DatasetSpec> specs;
         for (const std::string &name : scheduleConfig.datasets)
             specs.push_back(graph::datasetByName(name));
-        serve::Executor executor(
-            cache, specs,
-            static_cast<uint32_t>(args.getInt("threads", 1)));
+        serve::Executor executor(cache, specs, threads);
         serve::VirtualServeConfig config;
         // Generous admission: direct mode measures the simulator, not
         // the queue, so nothing may be shed.
@@ -199,7 +198,7 @@ main(int argc, char **argv)
         int fd = connectWithRetry(
             path, args.getDouble("connect_timeout_s", 10.0));
         if (fd < 0)
-            fatal("serve_load: cannot connect to '" + path + "'");
+            fatal("cannot connect to '" + path + "'");
 
         const size_t total = schedule.size();
         size_t resolved = 0;
@@ -246,7 +245,7 @@ main(int argc, char **argv)
                 while (outstanding < window && sent < total) {
                     if (!sendLine(fd, serve::encodeRequest(
                                           schedule[sent].request)))
-                        fatal("serve_load: send failed");
+                        fatal("send failed");
                     ++sent;
                     ++outstanding;
                 }
@@ -288,4 +287,12 @@ main(int argc, char **argv)
                                        records);
 
     return (missing > 0 || metrics.protocolErrors() > 0) ? 1 : 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return grow::guardedMain("serve_load", argc, argv, run);
 }
